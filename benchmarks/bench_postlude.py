@@ -140,20 +140,19 @@ def _time_engine(
     dispatch) is the timed region, so the harness and ``repro profile``
     report the same quantity.
     """
-    options = spec.filter_options({"processes": 2})
     best = float("inf")
     histograms = None
     try:
         for _ in range(max(1, repeats)):
             recorder = Recorder()
             inputs.recorder = recorder
-            histograms = spec.compute(inputs, **options)
+            histograms = spec.compute(inputs)
             best = min(best, recorder.find(f"engine:{spec.name}").duration_s)
         peak = 0
         if measure_memory:
             recorder = Recorder(memory=True)
             inputs.recorder = recorder
-            spec.compute(inputs, **options)
+            spec.compute(inputs)
             peak = recorder.memory_stats.get("tracemalloc_peak_bytes", 0)
     finally:
         inputs.recorder = NULL_RECORDER

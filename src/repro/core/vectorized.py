@@ -55,7 +55,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
 #: blocks of this size so the walk's transient memory stays flat instead
 #: of scaling with the row count — at N=10^6 undeduplicated rows the
 #: unblocked temporaries were 2x the matrix itself.  Sized to sit in L2
-#: cache territory; calibrated with benchmarks/bench_parallel.py.
+#: cache territory.
 _WALK_BLOCK_BYTES = 4 * 1024 * 1024
 
 #: Prefer the hardware popcount ufunc (NumPy >= 2.0); older NumPy builds
@@ -211,8 +211,6 @@ def _walk_node(
     level_counts,
     limit: int,
     root,
-    split_level=None,
-    jobs=None,
 ) -> None:
     """Depth-first BCAT walk from one node, accumulating into ``level_counts``.
 
@@ -220,20 +218,11 @@ def _walk_node(
     cardinality)``; ``level_counts`` is a ``(limit + 1, N' + 1)`` int64
     accumulator.  Mirrors ``bcat.walk_bcat_sets`` including its pruning
     of nodes with fewer than two members.
-
-    When ``split_level`` is given, nodes *at* that level are appended to
-    ``jobs`` (same tuple shape) instead of being descended into — the
-    parallel-shm engine uses this to discover its work units with the
-    exact pruning semantics of the full walk.
     """
     stack = [root]
     while stack:
-        node = stack.pop()
-        level, mask, first_position, row_lo, row_hi, cardinality = node
+        level, mask, first_position, row_lo, row_hi, cardinality = stack.pop()
         if cardinality < 2:
-            continue
-        if split_level is not None and level == split_level:
-            jobs.append(node)
             continue
         if row_hi > row_lo:
             _node_counts(matrix, weights, row_lo, row_hi, mask, level_counts[level])
@@ -319,17 +308,11 @@ def prepare_bigint_walk(zerosets: ZeroOneSets, limit: int, mrct: MRCT):
     return _pack_conflict_rows(mrct, perm, nbytes)
 
 
-def prepare_packed_walk(
-    zerosets: ZeroOneSets, limit: int, packed: "PackedMRCT", matrix_out=None
-):
+def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: "PackedMRCT"):
     """Row-sort a :class:`PackedMRCT` into walk form.
 
     Returns ``(matrix, weights, positions)`` with rows gathered under
-    the bit-reversed identifier permutation.  When ``matrix_out`` is
-    given (a writable ``(rows, words)`` uint64 array — the parallel-shm
-    engine passes its shared-segment view), the gather lands directly
-    in it, so a store-mapped packed matrix flows into shared memory
-    with exactly one copy and no intermediate allocation.
+    the bit-reversed identifier permutation.
     """
     nprime = zerosets.n_unique
     nbytes = ((nprime + 63) // 64) * 8
@@ -339,11 +322,7 @@ def prepare_packed_walk(
     inverse_perm[perm] = _np.arange(nprime, dtype=_np.int64)
     row_positions = inverse_perm[packed.idents]
     order = _np.argsort(row_positions, kind="stable")
-    if matrix_out is not None:
-        _np.take(packed.matrix, order, axis=0, out=matrix_out)
-        matrix = matrix_out
-    else:
-        matrix = _np.ascontiguousarray(packed.matrix[order])
+    matrix = _np.ascontiguousarray(packed.matrix[order])
     weights = packed.weights[order].astype(_np.float64)
     positions = row_positions[order]
     return matrix, weights, positions

@@ -194,7 +194,6 @@ def request_to_wire(request: ExplorationRequest) -> Dict:
         "line_sizes": list(request.line_sizes),
         "weights": list(request.weights) if request.weights is not None else None,
         "engine": request.engine,
-        "processes": request.processes,
         "prelude": request.prelude,
         "scenario": request.scenario.to_json_dict(),
     }
@@ -275,10 +274,15 @@ def request_from_wire(document: object) -> ExplorationRequest:
         if scenario_wire is not None
         else {"policy": "lru", "l2_depth": None, "cost_model": None}
     )
+    # ``processes`` sized the multi-process postlude engines, which are
+    # gone.  Old clients may still send it: it is validated as before,
+    # then dropped, so it changes neither the answer nor the dedup key.
+    if "processes" in document:
+        if _int(document["processes"], "request.processes") < 1:
+            raise ProtocolError("request: processes must be >= 1")
     try:
         scenario = ScenarioSpec(
             engine=_str(document.get("engine", "auto"), "request.engine"),
-            processes=_int(document.get("processes", 2), "request.processes"),
             prelude=_str(document.get("prelude", "auto"), "request.prelude"),
             max_depth=max_depth,
             include_depth_one=_bool(
@@ -325,7 +329,6 @@ def request_key(document: object) -> str:
         "line_sizes": list(request.line_sizes),
         "weights": list(request.weights) if request.weights is not None else None,
         "engine": request.engine,
-        "processes": request.processes,
         "prelude": request.prelude,
         "policy": request.scenario.policy,
         "l2_depth": request.scenario.l2_depth,

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import (
     AnalyticalCacheExplorer,
+    engines,
     ExplorationReport,
     ExplorationRequest,
     ExplorationResult,
@@ -114,7 +115,7 @@ class TestExploreEngineBugfix:
     def test_alias_and_all_engines_agree(self, parity_traces):
         trace = parity_traces[0]
         reference = explore(trace, 1, engine="serial").to_json_dict()
-        for engine in ("parallel", "streaming", "vectorized", "auto", "bitmask"):
+        for engine in engines.engine_names() + tuple(engines.ALIASES):
             assert explore(trace, 1, engine=engine).to_json_dict() == reference
 
     def test_store_passes_through(self, tmp_path):
@@ -361,7 +362,7 @@ class TestReport:
         trace = _paper_trace()
         report = explore_request(ExplorationRequest.single(trace, budget=0))
         assert isinstance(report, ExplorationReport)
-        assert report.engine in ("serial", "parallel", "streaming", "vectorized")
+        assert report.engine in engines.engine_names(include_auto=False)
         assert report.result is report.results[0]
         payload = report.to_json_dict()
         assert payload["mode"] == "single"

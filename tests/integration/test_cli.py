@@ -102,12 +102,12 @@ class TestProfileTelemetry:
     def test_profile_writes_manifest_file(self, tmp_path, trace_file, capsys):
         manifest_file = tmp_path / "profile.json"
         assert main(
-            ["profile", trace_file, "--engine", "parallel",
-             "--processes", "2", "-o", str(manifest_file)]
+            ["profile", trace_file, "--engine", "streaming",
+             "-o", str(manifest_file)]
         ) == 0
         document = self._load_valid_manifest(manifest_file)
-        assert document["engine"] == "parallel"
-        assert document["options"] == {"processes": 2}
+        assert document["engine"] == "streaming"
+        assert document["options"] == {}
         assert "wrote run manifest" in capsys.readouterr().err
 
     def test_profile_defaults_to_percent_budget(self, trace_file, capsys):
@@ -406,8 +406,11 @@ class TestCache:
     def test_help_lists_registry_engines(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
-        out = capsys.readouterr().out
-        assert "serial, parallel, parallel-shm, streaming, vectorized, auto" in out
+        # argparse wraps the epilog to the terminal width; compare words.
+        out = " ".join(capsys.readouterr().out.split())
+        from repro.core import engines
+
+        assert ", ".join(engines.engine_names()) in out
         assert "bitmask -> serial" in out
 
 
@@ -419,6 +422,15 @@ class TestParser:
     def test_explore_requires_a_budget_flag(self, trace_file):
         with pytest.raises(SystemExit):
             main(["explore", trace_file])
+
+    @pytest.mark.parametrize("engine", ["parallel", "parallel-shm"])
+    def test_removed_engine_names_are_argparse_errors(
+        self, engine, trace_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", trace_file, "--budget", "5", "--engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestScenarioFlags:

@@ -79,9 +79,10 @@ def test_api_doc_backtick_names_resolve():
         universe.update(dir(importlib.import_module(module_name)))
     universe.update(PACKAGES)
     # Engine and pool-kind names are registry strings, not identifiers.
-    universe.update(
-        {"repro", "bitmask", "serial", "streaming", "parallel", "vectorized", "auto"}
-    )
+    from repro.core import engines
+
+    universe.update(engines.engine_names() + tuple(engines.ALIASES))
+    universe.add("repro")
     universe.update({"process", "thread", "inline"})
     # Scenario registry strings and spec field names.
     universe.update({"lru", "fifo", "energy", "area", "time"})

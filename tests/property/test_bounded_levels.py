@@ -15,7 +15,7 @@ from repro.core import engines
 from repro.stream import TraceSession
 from repro.trace.trace import Trace
 
-FAST_ENGINES = ("serial", "streaming", "vectorized")
+ENGINES = engines.engine_names(include_auto=False)
 
 
 @st.composite
@@ -43,9 +43,7 @@ def bounded_cases(draw, max_length=80, max_bits=6):
 
 def _histograms(trace, name, max_level, prelude="auto"):
     inputs = engines.EngineInputs(trace, prelude=prelude)
-    spec = engines.resolve_engine(name, inputs)
-    options = spec.filter_options({"processes": 2})
-    return spec.compute(inputs, max_level=max_level, **options)
+    return engines.compute_histograms(name, inputs, max_level=max_level)
 
 
 @given(case=bounded_cases())
@@ -56,7 +54,7 @@ def test_engines_agree_under_any_legal_bound(case):
     assert set(reference) == set(
         range(min(max_level, trace.address_bits) + 1)
     )
-    for name in FAST_ENGINES:
+    for name in ENGINES:
         assert _histograms(trace, name, max_level) == reference, name
 
 
@@ -99,7 +97,7 @@ def test_sessions_agree_under_any_chunking(case, cut_seed):
 @settings(max_examples=30, deadline=None)
 def test_empty_traces_yield_empty_levels(bits, level):
     trace = Trace([], address_bits=bits)
-    for name in FAST_ENGINES:
+    for name in ENGINES:
         histograms = _histograms(trace, name, level)
         assert set(histograms) == set(range(min(level, bits) + 1))
         assert all(not h.counts for h in histograms.values())

@@ -13,7 +13,7 @@ from repro.cache.simulator import simulate_trace
 from repro.core import engines
 from repro.trace.trace import Trace
 
-FAST_ENGINES = ("serial", "streaming", "vectorized")
+ENGINES = engines.engine_names(include_auto=False)
 
 
 @st.composite
@@ -33,20 +33,15 @@ def reuse_traces(draw, max_length=120, max_bits=8):
     return Trace(sequence, address_bits=bits)
 
 
-def _histograms_per_engine(trace, names, processes=2):
+def _histograms_per_engine(trace, names):
     inputs = engines.EngineInputs(trace)
-    results = {}
-    for name in names:
-        spec = engines.resolve_engine(name, inputs)
-        options = spec.filter_options({"processes": processes})
-        results[name] = spec.compute(inputs, **options)
-    return results
+    return {name: engines.compute_histograms(name, inputs) for name in names}
 
 
 @given(trace=reuse_traces())
 @settings(max_examples=60, deadline=None)
 def test_engines_agree_on_random_traces(trace):
-    results = _histograms_per_engine(trace, FAST_ENGINES)
+    results = _histograms_per_engine(trace, ENGINES)
     reference = results["serial"]
     for name, histograms in results.items():
         assert histograms == reference, name
@@ -65,7 +60,7 @@ def test_engines_match_brute_force_simulation(trace, depth_log, assoc):
         trace, CacheConfig(depth=depth, associativity=assoc)
     ).non_cold_misses
     inputs = engines.EngineInputs(trace)
-    for name in FAST_ENGINES:
+    for name in ENGINES:
         histograms = engines.compute_histograms(name, inputs)
         histogram = histograms.get(depth_log)
         # Depths beyond the BCAT are conflict-free: zero non-cold misses.
@@ -77,10 +72,9 @@ def test_engines_match_brute_force_simulation(trace, depth_log, assoc):
 @given(trace=reuse_traces(max_length=3000, max_bits=11))
 @settings(max_examples=25, deadline=None)
 def test_all_engines_agree_on_larger_traces(trace):
-    """Including the multiprocessing engine, on traces up to a few thousand
-    references with wider address ranges."""
-    names = engines.engine_names(include_auto=False)
-    results = _histograms_per_engine(trace, names)
+    """On traces up to a few thousand references with wider address
+    ranges."""
+    results = _histograms_per_engine(trace, ENGINES)
     reference = results["serial"]
     for name, histograms in results.items():
         assert histograms == reference, name

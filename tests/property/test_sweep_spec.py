@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import engines
 from repro.sweep.spec import (
     SPEC_SCHEMA,
     SweepSpecError,
@@ -19,8 +20,7 @@ from repro.sweep.spec import (
 )
 
 WORKLOADS = ("crc", "fir", "adpcm", "bcnt", "qurt")
-ENGINES = ("serial", "parallel", "parallel-shm", "streaming", "vectorized",
-           "auto")
+ENGINES = engines.engine_names()
 PRELUDES = ("auto", "fast", "python")
 POLICIES = ("lru", "fifo")
 WARMTH = ("cold", "warm")

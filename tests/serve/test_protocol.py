@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.request import ExplorationRequest, explore_request
@@ -79,7 +81,6 @@ class TestRequestCodec:
             max_depth=8,
             include_depth_one=True,
             engine="serial",
-            processes=3,
             prelude="python",
         )
         rebuilt = request_from_wire(request_to_wire(request))
@@ -262,6 +263,44 @@ class TestRequestKey:
         a = ExplorationRequest(traces=(tiny_trace,), mode="single", budgets=(0,))
         b = ExplorationRequest(traces=(mutated,), mode="single", budgets=(0,))
         assert request_key(request_to_wire(a)) != request_key(request_to_wire(b))
+
+    def test_legacy_processes_field_shares_one_key_and_answer(
+        self, tiny_trace: Trace
+    ) -> None:
+        """``processes`` sized removed engines: it must not split dedup."""
+        base = {
+            "schema": REQUEST_SCHEMA,
+            "mode": "single",
+            "traces": [trace_to_wire(tiny_trace)],
+            "budgets": [0, 1],
+        }
+        docs = [base, dict(base, processes=2), dict(base, processes=4)]
+        assert len({request_key(d) for d in docs}) == 1
+        answers = {
+            json.dumps(
+                response_to_wire(explore_request(request_from_wire(d))),
+                sort_keys=True,
+            )
+            for d in docs
+        }
+        assert len(answers) == 1
+        assert "processes" not in request_to_wire(request_from_wire(docs[1]))
+
+    @pytest.mark.parametrize("value", [0, -3, "2", True])
+    def test_legacy_processes_field_still_validated(
+        self, tiny_trace: Trace, value
+    ) -> None:
+        wire = {
+            "schema": REQUEST_SCHEMA,
+            "mode": "single",
+            "traces": [trace_to_wire(tiny_trace)],
+            "budgets": [0],
+            "processes": value,
+        }
+        with pytest.raises(ProtocolError, match="processes"):
+            request_from_wire(wire)
+        with pytest.raises(ProtocolError, match="processes"):
+            request_key(wire)
 
     def test_malformed_document_cannot_be_keyed(self) -> None:
         with pytest.raises(ProtocolError):

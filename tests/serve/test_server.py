@@ -210,6 +210,21 @@ class TestErrorPaths:
         assert excinfo.value.status == 400
         assert "bogus" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("engine", "parallel"), ("engine", "parallel-shm"), ("processes", 0)],
+    )
+    def test_removed_engines_and_bad_processes_are_400(
+        self, live_server, tiny_request, field, value
+    ) -> None:
+        server = live_server()
+        wire = request_to_wire(tiny_request)
+        wire[field] = value
+        with pytest.raises(ServeError) as excinfo:
+            server.client().explore_wire(wire)
+        assert excinfo.value.status == 400
+        assert field in str(excinfo.value)
+
     def test_unknown_route_is_404(self, live_server) -> None:
         server = live_server()
         status, _ = server.client()._call("GET", "/v2/nothing")

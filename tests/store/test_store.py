@@ -4,6 +4,7 @@ import multiprocessing
 
 import pytest
 
+from repro.core import engines
 from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.mrct import build_mrct
 from repro.obs import Recorder
@@ -234,7 +235,7 @@ class TestWarmStart:
         serial = AnalyticalCacheExplorer(
             trace, store=store, engine="serial"
         ).explore(2)
-        for engine in ("streaming", "parallel", "vectorized", "auto", "bitmask"):
+        for engine in engines.engine_names() + tuple(engines.ALIASES):
             warm_store = ArtifactStore(tmp_path / "s")
             result = AnalyticalCacheExplorer(
                 trace, store=warm_store, engine=engine

@@ -33,7 +33,6 @@ class TestPolicyOracle:
         outcome = run_grid(
             entry.trace,
             entry.budgets,
-            processes=1,
             policies=("fifo",),
         )
         assert outcome.ok
