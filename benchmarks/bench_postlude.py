@@ -13,13 +13,10 @@ Run it from the repo root::
 Timing and memory sampling go through :mod:`repro.obs` — the same
 recorder the pipeline itself is instrumented with (``repro profile``),
 so the harness measures exactly what a profiled production run reports.
-Timing excludes the prelude (strip / zero-one sets / MRCT are built
-once per trace before the clock starts) for the engines that consume
-prelude products; the streaming engine's single pass over the raw trace
-*is* its whole job, so its wall time covers that pass.  The streaming
-engine is skipped on traces longer than ``STREAMING_MAX_REFS`` — its
-per-reference LRU-stack cost makes multi-hundred-thousand-reference
-runs take minutes, which is exactly what the other engines are for.
+Timing excludes the prelude: strip / zero-one sets / MRCT are built
+once per trace before the clock starts.  The committed
+``BENCH_postlude.json`` also carries rows of the since-removed
+``streaming`` engine, the measurement behind its removal.
 
 JSON schema (``validate_results`` enforces it)::
 
@@ -64,9 +61,6 @@ from repro.trace.synthetic import (
 from repro.trace.trace import Trace
 
 SCHEMA = "repro-bench-postlude/1"
-
-#: Skip the streaming engine above this trace length (see module docstring).
-STREAMING_MAX_REFS = 120_000
 
 #: Required result-row fields and their types.
 RESULT_FIELDS = {
@@ -178,13 +172,6 @@ def run_bench(
         levels = max(reference, default=0)
         for name in engine_names:
             spec = engines.get_engine(name)
-            if name == "streaming" and len(trace) > STREAMING_MAX_REFS:
-                print(
-                    f"  [skip] streaming on {trace.name} "
-                    f"(N={len(trace)} > {STREAMING_MAX_REFS})",
-                    file=sys.stderr,
-                )
-                continue
             wall, peak, histograms = _time_engine(
                 spec, inputs, repeats, measure_memory
             )

@@ -54,7 +54,7 @@ from repro.store import ArtifactStore, StoreStats, default_cache_dir, trace_dige
 from repro.trace import Trace, compute_statistics, read_trace, write_trace
 from repro.verify import VerifyConfig, VerifyReport, run_verify
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AnalyticalCacheExplorer",

@@ -188,7 +188,6 @@ def _scenario_from_args(args: argparse.Namespace):
 
     return ScenarioSpec(
         engine=getattr(args, "engine", "auto"),
-        prelude=getattr(args, "prelude", "auto"),
         max_depth=getattr(args, "max_depth", None) or None,
         include_depth_one=getattr(args, "include_depth_one", False),
         policy=args.policy,
@@ -267,7 +266,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         trace,
         max_depth=spec.max_depth,
         engine=spec.engine,
-        prelude=spec.prelude,
         recorder=recorder,
         store=store,
     )
@@ -331,7 +329,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     explorer = AnalyticalCacheExplorer(
         trace,
         engine=args.engine,
-        prelude=args.prelude,
         recorder=recorder,
         store=_resolve_store(args),
     )
@@ -387,9 +384,9 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         f"auto: 'vectorized' when NumPy is importable and the trace has "
         f">= {engines.AUTO_MIN_REFS} references "
         f"(>= {engines.AUTO_MIN_REFS_POSTLUDE} when the MRCT is already "
-        f"built) and >= {engines.AUTO_MIN_UNIQUE} unique addresses, "
-        f"else 'serial', on any CPU count; 'streaming' is explicit-only "
-        f"(see BENCH_postlude.json)"
+        f"built), or, given only prelude products and no raw trace, "
+        f">= {engines.AUTO_MIN_UNIQUE} unique addresses; else 'serial', "
+        f"on any CPU count"
     )
     return 0
 
@@ -419,15 +416,9 @@ def _parse_time_budget(text: Optional[str]) -> Optional[float]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import VerifyConfig, default_corpus_dir, run_verify
 
-    engines = tuple(args.engines) if args.engines else None
-    preludes = tuple(args.preludes) if args.preludes else None
     max_traces = args.max_traces
-    if args.smoke:
-        # PR-lane preset: a fast sub-grid unless the user overrode it.
-        engines = engines or ("serial", "vectorized")
-        preludes = preludes or ("python", "fast")
-        if max_traces is None and args.budget is None:
-            max_traces = 8
+    if args.smoke and max_traces is None and args.budget is None:
+        max_traces = 8  # PR-lane preset
     corpus_dir = args.corpus_dir
     if corpus_dir is None and not args.no_corpus:
         corpus_dir = default_corpus_dir()
@@ -435,8 +426,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_traces=max_traces,
         time_budget_s=_parse_time_budget(args.budget),
-        engines=engines,
-        preludes=preludes,
+        engines=tuple(args.engines) if args.engines else None,
         include_warm=not args.no_warm,
         laws=args.laws,
         policies=tuple(args.policies) if args.policies else (),
@@ -1396,13 +1386,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="histogram engine (default: auto)",
     )
     p.add_argument(
-        "--prelude",
-        default="auto",
-        choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder: fast NumPy/Fenwick kernels or the "
-        "paper-faithful python builders (default: auto)",
-    )
-    p.add_argument(
         "--profile",
         metavar="MANIFEST",
         help="record per-phase telemetry and write a run manifest JSON here",
@@ -1430,13 +1413,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="histogram engine (default: auto)",
     )
     p.add_argument(
-        "--prelude",
-        default="auto",
-        choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder: fast NumPy/Fenwick kernels or the "
-        "paper-faithful python builders (default: auto)",
-    )
-    p.add_argument(
         "--no-memory",
         action="store_true",
         help="skip tracemalloc sampling (pure timing run)",
@@ -1455,8 +1431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="differential fuzzing oracle: engine x prelude x store grid "
-        "vs simulator + metamorphic invariants",
+        help="differential fuzzing oracle: engine x store grid vs the "
+        "paper-faithful reference, the simulator and metamorphic invariants",
     )
     p.add_argument(
         "--budget",
@@ -1475,13 +1451,6 @@ def build_parser() -> argparse.ArgumentParser:
             set(_engines.engine_names(False)) | set(_engines.ALIASES)
         ),
         help="restrict the grid to these engines (default: all registered)",
-    )
-    p.add_argument(
-        "--preludes",
-        nargs="+",
-        metavar="P",
-        choices=list(_engines.PRELUDE_MODES),
-        help="restrict the grid to these prelude modes (default: all)",
     )
     p.add_argument(
         "--no-warm",
@@ -1524,8 +1493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="PR-lane preset: serial+vectorized, python+fast preludes, "
-        "8 traces",
+        help="PR-lane preset: stop after 8 traces",
     )
     p.add_argument(
         "--json", action="store_true", help="emit the JSON report to stdout"
@@ -1748,12 +1716,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_engines.AUTO_ENGINE,
         choices=sorted(set(_engines.engine_names()) | set(_engines.ALIASES)),
         help="histogram engine (default: auto)",
-    )
-    p.add_argument(
-        "--prelude",
-        default="auto",
-        choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder (default: auto)",
     )
     _add_scenario_flags(p)
     p.add_argument("--host", default=_serve_host, help="daemon address")

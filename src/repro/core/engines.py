@@ -1,12 +1,11 @@
 """Postlude engine registry: one dispatch point for every implementation.
 
-The repo has grown three interchangeable ways to turn a trace into the
+The repo has two interchangeable ways to turn a trace into the
 per-level conflict histograms of the paper's Algorithm 3 — serial
-bigints, a constant-memory streaming pass and a NumPy bit-matrix
-kernel.  Callers (the explorer, the CLI, the benchmark harness) should
-not hard-code that list; they select an engine *by name* here and new
-engines become visible everywhere by registering a single
-:class:`EngineSpec`.
+bigints and a NumPy bit-matrix kernel.  Callers (the explorer, the CLI,
+the benchmark harness) should not hard-code that list; they select an
+engine *by name* here and new engines become visible everywhere by
+registering a single :class:`EngineSpec`.
 
 Names
 -----
@@ -16,9 +15,6 @@ Names
     (:func:`repro.core.postlude.compute_level_histograms`).  Every other
     engine is tested bit-identical against it.  ``bitmask`` is accepted
     as a legacy alias.
-``streaming``
-    Single LRU-stack pass over the raw trace with O(N') memory
-    (:mod:`repro.core.streaming`).
 ``vectorized``
     NumPy ``uint64`` bit-matrix kernel (:mod:`repro.core.vectorized`);
     falls back to ``serial`` when NumPy is missing.  On a cold trace it
@@ -26,22 +22,21 @@ Names
     directly (:mod:`repro.core.prelude_fast`) and the postlude consumes
     it zero-copy, skipping the bigint MRCT entirely.
 ``auto``
-    Picks between ``serial`` and ``vectorized``.  Calibration against
-    BENCH_postlude.json showed ``streaming`` 22–125x slower at every
-    measured size, so it is never auto-selected (it remains available
-    by name).  The serial/vectorized threshold depends on what work is
-    left: a cold trace favors ``vectorized`` from ``AUTO_MIN_REFS``
-    because the fused prelude is part of the win; with the bigint MRCT
-    already in hand only the postlude differs, and ``serial`` stays
-    competitive until ``AUTO_MIN_REFS_POSTLUDE``.  The CPU count plays
-    no part: the walk is single-process on every host.
+    Picks between ``serial`` and ``vectorized``.  The threshold depends
+    on what work is left: a cold trace favors ``vectorized`` from
+    ``AUTO_MIN_REFS`` because the fused prelude is part of the win; with
+    the bigint MRCT already in hand only the postlude differs, and
+    ``serial`` stays competitive until ``AUTO_MIN_REFS_POSTLUDE``.  The
+    CPU count plays no part: the walk is single-process on every host.
 
 All engines consume the same :class:`EngineInputs` bundle, which builds
 the prelude products (stripped trace, zero/one sets, MRCT — and, for
 the fused path, the packed MRCT) lazily and exactly once, so switching
-engines never repeats the prelude.  The ``prelude`` mode selects the
-builders: ``auto`` (fast kernels when they pay), ``fast`` (always the
-fast kernels), ``python`` (the paper-faithful reference builders).
+engines never repeats the prelude.  The builders are chosen from the
+input size: the fast NumPy/Fenwick kernels where they pay for
+themselves, the paper-faithful python builders elsewhere.  Every
+builder produces identical products; the python ones also serve as the
+reference oracle of :func:`repro.verify.reference_explorer`.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.mrct import MRCT, build_mrct
+from repro.core.mrct import MRCT
 from repro.core.postlude import (
     LevelHistogram,
     compute_level_histograms,
@@ -58,7 +53,7 @@ from repro.core.postlude import (
 )
 from repro.core.zerosets import ZeroOneSets, build_zero_one_sets
 from repro.obs.recorder import NULL_RECORDER
-from repro.trace.strip import StrippedTrace, strip_trace
+from repro.trace.strip import StrippedTrace, strip_trace_auto
 from repro.trace.trace import Trace
 
 #: Engine selected when the caller does not choose one.
@@ -82,14 +77,8 @@ AUTO_MIN_REFS_POSTLUDE = 16384
 #: loses at N'=1000 (markov) when the trace behind it is long.
 AUTO_MIN_UNIQUE = 1024
 
-#: The only engines ``auto`` may return.  ``streaming`` is deliberately
-#: excluded: BENCH_postlude.json shows it 22-125x slower than the others
-#: (26.3 s vs 0.21 s on loop-1024x100) — an auto policy must never pick
-#: a measured regression.
+#: The engines ``auto`` may return.
 AUTO_CANDIDATES = ("serial", "vectorized")
-
-#: Prelude builder modes accepted by :class:`EngineInputs`.
-PRELUDE_MODES = ("auto", "fast", "python")
 
 #: Legacy names still accepted everywhere an engine name is.
 ALIASES = {"bitmask": "serial"}
@@ -112,19 +101,12 @@ class EngineInputs:
 
     Args:
         trace: the raw trace, or ``None`` when the prelude products are
-            injected (engines that consume the raw trace — e.g.
-            ``streaming`` — then refuse to run).
+            injected.
         recorder: a :class:`repro.obs.Recorder` that each lazily built
             stage reports itself to; defaults to the no-op recorder.
         store: optional :class:`repro.store.ArtifactStore`; ignored when
             ``trace`` is ``None`` (injected products have no digest to
             address them by).
-        prelude: which builders construct the prelude products —
-            ``"auto"`` (fast kernels when they pay for themselves),
-            ``"fast"`` (always the fast kernels, degrading gracefully
-            without NumPy), or ``"python"`` (the paper-faithful
-            reference builders only).  Every mode produces identical
-            products.
     """
 
     def __init__(
@@ -135,16 +117,10 @@ class EngineInputs:
         mrct: Optional[MRCT] = None,
         recorder=NULL_RECORDER,
         store=None,
-        prelude: str = "auto",
     ) -> None:
-        if prelude not in PRELUDE_MODES:
-            raise ValueError(
-                f"unknown prelude mode {prelude!r}; expected one of {PRELUDE_MODES}"
-            )
         self.trace = trace
         self.recorder = recorder
         self.store = store
-        self.prelude = prelude
         self._stripped = stripped
         self._zerosets = zerosets
         self._mrct = mrct
@@ -263,7 +239,7 @@ class EngineInputs:
                     self.recorder.record("unique_refs", cached.n_unique)
                     return cached
             with self.recorder.phase("prelude:strip"):
-                self._stripped = self._strip(trace)
+                self._stripped = strip_trace_auto(trace)
                 self.recorder.record("trace_refs", self._stripped.n)
                 self.recorder.record("unique_refs", self._stripped.n_unique)
             if self.store is not None:
@@ -277,50 +253,17 @@ class EngineInputs:
         """The stripped trace only if already built/injected (no side effect)."""
         return self._stripped
 
-    def _strip(self, trace: Trace) -> StrippedTrace:
-        """Run the strip builder selected by the prelude mode."""
-        if self.prelude == "python":
-            return strip_trace(trace)
-        if self.prelude == "fast":
-            from repro.trace.strip import strip_trace_numpy
-
-            try:
-                return strip_trace_numpy(trace)
-            except ImportError:
-                return strip_trace(trace)
-        from repro.trace.strip import strip_trace_auto
-
-        return strip_trace_auto(trace)
-
-    def _build_zerosets(self, stripped: StrippedTrace) -> ZeroOneSets:
-        """Run the zero/one-set builder selected by the prelude mode."""
-        if self.prelude != "python":
-            from repro.core.vectorized import numpy_available
-            from repro.core.zerosets import build_zero_one_sets_numpy
-            from repro.trace.strip import NUMPY_STRIP_MIN_REFS
-
-            if numpy_available() and (
-                self.prelude == "fast" or stripped.n >= NUMPY_STRIP_MIN_REFS
-            ):
-                return build_zero_one_sets_numpy(stripped)
-        return build_zero_one_sets(stripped)
-
-    def _build_mrct(self, stripped: StrippedTrace) -> MRCT:
-        """Run the MRCT builder selected by the prelude mode."""
-        if self.prelude == "python":
-            return build_mrct(stripped)
-        from repro.core.prelude_fast import (
-            build_mrct_auto,
-            build_mrct_fast,
-            build_mrct_fenwick,
-        )
+    @staticmethod
+    def _build_zerosets(stripped: StrippedTrace) -> ZeroOneSets:
+        """NumPy zero/one sets on long traces, the python builder else."""
         from repro.core.vectorized import numpy_available
+        from repro.trace.strip import NUMPY_STRIP_MIN_REFS
 
-        if self.prelude == "fast":
-            if numpy_available():
-                return build_mrct_fast(stripped)
-            return build_mrct_fenwick(stripped)
-        return build_mrct_auto(stripped)
+        if numpy_available() and stripped.n >= NUMPY_STRIP_MIN_REFS:
+            from repro.core.zerosets import build_zero_one_sets_numpy
+
+            return build_zero_one_sets_numpy(stripped)
+        return build_zero_one_sets(stripped)
 
     @property
     def zerosets(self) -> ZeroOneSets:
@@ -355,8 +298,10 @@ class EngineInputs:
                     )
                     return cached
             stripped = self.stripped
+            from repro.core.prelude_fast import build_mrct_auto
+
             with self.recorder.phase("prelude:mrct"):
-                self._mrct = self._build_mrct(stripped)
+                self._mrct = build_mrct_auto(stripped)
                 self.recorder.record(
                     "conflict_sets", self._mrct.total_conflict_sets
                 )
@@ -599,15 +544,6 @@ def _run_serial(
     )
 
 
-def _run_streaming(
-    inputs: EngineInputs, max_level: Optional[int] = None
-) -> Dict[int, LevelHistogram]:
-    from repro.core.streaming import compute_level_histograms_streaming
-
-    trace = inputs.require_trace("the streaming engine consumes the raw trace")
-    return compute_level_histograms_streaming(trace, max_level=max_level)
-
-
 def _run_vectorized(
     inputs: EngineInputs, max_level: Optional[int] = None
 ) -> Dict[int, LevelHistogram]:
@@ -623,10 +559,8 @@ def _run_vectorized(
         # already exists, or on a cold run (no bigint MRCT built yet —
         # when one was injected or already built, packing it again would
         # repeat prelude work the caller has already paid for).
-        can_build_packed = (
-            inputs.prelude != "python"
-            and inputs.mrct_if_built is None
-            and (inputs.trace is not None or inputs.stripped_if_built is not None)
+        can_build_packed = inputs.mrct_if_built is None and (
+            inputs.trace is not None or inputs.stripped_if_built is not None
         )
         if inputs.packed_mrct_if_built is not None or can_build_packed:
             return compute_level_histograms_packed(
@@ -650,15 +584,6 @@ register_engine(
         memory="O(N' bits x N') sets + O(occurrences) MRCT",
         best_for="small/medium traces; the correctness baseline",
         runner=_run_serial,
-    )
-)
-register_engine(
-    EngineSpec(
-        name="streaming",
-        summary="single LRU-stack pass over the raw trace",
-        memory="O(N') — no MRCT, no zero/one sets",
-        best_for="traces that dwarf RAM",
-        runner=_run_streaming,
     )
 )
 register_engine(
@@ -697,7 +622,7 @@ class PolicyEngineSpec:
         factory: callable ``factory(trace, **kwargs)`` returning an
             explorer; accepts the :class:`AnalyticalCacheExplorer`
             constructor keywords (``max_depth``, ``engine``,
-            ``prelude``, ``recorder``, ``store``).
+            ``recorder``, ``store``).
     """
 
     name: str

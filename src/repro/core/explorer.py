@@ -35,16 +35,9 @@ class AnalyticalCacheExplorer:
         engine: which histogram engine to use, by registry name
             (see :mod:`repro.core.engines`): ``"serial"`` (the paper's
             BCAT/MRCT pipeline with bit-vector sets; ``"bitmask"`` is a
-            legacy alias), ``"streaming"`` (single LRU-stack pass, O(N')
-            memory, for traces that dwarf RAM), ``"vectorized"`` (NumPy
-            bit-matrix kernel) or ``"auto"`` (default; picks
-            ``vectorized`` for long traces when NumPy is available, else
-            ``serial``).
-        prelude: prelude builder mode — ``"auto"`` (default; fast
-            NumPy/Fenwick kernels when they pay for themselves),
-            ``"fast"`` (always the fast kernels) or ``"python"`` (the
-            paper-faithful reference builders).  Every mode produces
-            identical products and identical results.
+            legacy alias), ``"vectorized"`` (NumPy bit-matrix kernel) or
+            ``"auto"`` (default; picks ``vectorized`` for long traces
+            when NumPy is available, else ``serial``).
         recorder: a :class:`repro.obs.Recorder` for per-phase telemetry;
             defaults to the zero-overhead null recorder.  When given, a
             :class:`repro.obs.RunManifest` of the run is available from
@@ -77,7 +70,6 @@ class AnalyticalCacheExplorer:
         trace: Trace,
         max_depth: Optional[int] = None,
         engine: str = _engines.AUTO_ENGINE,
-        prelude: str = "auto",
         recorder=None,
         store=None,
     ) -> None:
@@ -89,12 +81,11 @@ class AnalyticalCacheExplorer:
         _engines.canonical_name(engine)  # raises ValueError on unknown names
         self.trace = trace
         self.engine = engine
-        self.prelude = prelude
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.store = store
         self._max_depth = max_depth
         self._inputs = _engines.EngineInputs(
-            trace, recorder=self.recorder, store=store, prelude=prelude
+            trace, recorder=self.recorder, store=store
         )
         self._histograms: Optional[Dict[int, LevelHistogram]] = None
         self._statistics: Optional[TraceStatistics] = None

@@ -67,8 +67,8 @@ class FIFOHybridExplorer:
     ``misses``/``statistics``/``resolved_engine``/``report_level``) so
     request execution, costing and the verify grid can treat policies
     uniformly; an internal analytical explorer supplies the prelude,
-    statistics and the exact ``A = 1`` column, inheriting the engine,
-    prelude mode and store (LRU warm-starts still apply).
+    statistics and the exact ``A = 1`` column, inheriting the engine
+    and store (LRU warm-starts still apply).
 
     Because FIFO misses are not monotone in ``A``, the per-depth
     minimum associativity is found by an upward scan — the first ``A``
@@ -82,7 +82,6 @@ class FIFOHybridExplorer:
         trace: Trace,
         max_depth: Optional[int] = None,
         engine: str = _engines.AUTO_ENGINE,
-        prelude: str = "auto",
         recorder=None,
         store=None,
     ) -> None:
@@ -90,13 +89,11 @@ class FIFOHybridExplorer:
             trace,
             max_depth=max_depth,
             engine=engine,
-            prelude=prelude,
             recorder=recorder,
             store=store,
         )
         self.trace = trace
         self.engine = engine
-        self.prelude = prelude
         self.recorder = self._analytical.recorder
         self.store = store
         self._tables: Dict[int, PolicyMissTable] = {}

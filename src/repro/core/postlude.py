@@ -27,13 +27,13 @@ from repro.core.zerosets import ZeroOneSets
 
 
 def validate_max_level(max_level: Optional[int]) -> Optional[int]:
-    """Validate a ``max_level`` bound shared by every engine and prelude.
+    """Validate a ``max_level`` bound shared by every histogram builder.
 
     ``None`` means "no bound" (histogram every level up to the address
     width).  Anything else must be a non-negative integer; every entry
-    point — serial, streaming, vectorized, the store key
-    derivation, and the serve wire protocol — funnels through this one
-    check so an invalid bound fails identically everywhere.
+    point — the serial and vectorized engines, streaming sessions, the
+    store key derivation, and the serve wire protocol — funnels through
+    this one check so an invalid bound fails identically everywhere.
 
     Returns:
         the validated bound (as ``int``, or ``None``).

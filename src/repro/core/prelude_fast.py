@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.core.mrct import MRCT, build_mrct
 from repro.obs.recorder import NULL_RECORDER
@@ -147,7 +147,7 @@ class PackedMRCT:
         The weighted rows are replayed ``weight`` times each, grouped by
         identifier in packed-row order.  The result is multiset-equal to
         the original table but does *not* preserve trace order — use it
-        only for engines (serial/streaming adapters) whose
+        only for consumers (the serial postlude) whose
         output depends on the multiset alone.
         """
         table: List[List[int]] = [[] for _ in range(self.n_unique)]

@@ -7,8 +7,8 @@ line_sizes)`` and ``MultiTraceExplorer(...).run(budget, mode)``.
 :class:`ExplorationRequest` is the single contract that covers all of
 them: what to explore (one trace, an application set, a line-size
 sweep), at which budgets (absolute K's, the paper's percent-of-max-
-misses, or both), and with which machinery (engine, prelude mode,
-recorder, artifact store).  :func:`explore_request` executes it and
+misses, or both), and with which machinery (engine, recorder,
+artifact store).  :func:`explore_request` executes it and
 returns an :class:`ExplorationReport`.
 
 The legacy helpers remain as thin shims that build a request, so no
@@ -44,7 +44,6 @@ MODES = ("single", "sum", "each", "linesize")
 #: with it (conflicts fail loudly instead of silently winning).
 _SCENARIO_SHIM_FIELDS = {
     "engine": _engines.AUTO_ENGINE,
-    "prelude": "auto",
     "max_depth": None,
     "include_depth_one": False,
 }
@@ -73,16 +72,12 @@ class ExplorationRequest:
         line_sizes: line sizes for ``linesize`` mode.
         weights: per-trace weights for ``sum`` mode.
         engine: histogram engine name (see :mod:`repro.core.engines`).
-        prelude: prelude builder mode (``auto``/``fast``/``python``;
-            see :class:`repro.core.engines.EngineInputs`).  ``single``
-            mode forwards it to the explorer; other modes currently run
-            with the default.
         recorder: optional :class:`repro.obs.Recorder` shared by every
             explorer the request spawns.
         store: optional :class:`repro.store.ArtifactStore` shared by
             every explorer the request spawns (warm-start).
         scenario: the :class:`repro.scenario.ScenarioSpec` describing
-            *how* to explore — machinery (engine/prelude/
+            *how* to explore — machinery (engine and
             depth bounds) plus the scenario dimensions (replacement
             policy, second level, cost model).  When omitted, one is
             built from the loose machinery kwargs above (the
@@ -104,7 +99,6 @@ class ExplorationRequest:
     line_sizes: Tuple[int, ...] = LineSizeExplorer.DEFAULT_LINE_SIZES
     weights: Optional[Tuple[int, ...]] = None
     engine: str = _engines.AUTO_ENGINE
-    prelude: str = "auto"
     recorder: Optional[object] = None
     store: Optional[object] = None
     scenario: Optional[ScenarioSpec] = None
@@ -146,7 +140,7 @@ class ExplorationRequest:
     def _reconcile_scenario(self) -> None:
         """Unify the scenario with the legacy loose kwargs (shim path).
 
-        Field validation (engine names, prelude modes, policy domains)
+        Field validation (engine names, policy domains)
         lives in :class:`ScenarioSpec` itself, so both spellings fail
         with identical errors.
         """
@@ -202,7 +196,6 @@ class ExplorationRequest:
         max_depth: Optional[int] = None,
         include_depth_one: bool = False,
         engine: str = _engines.AUTO_ENGINE,
-        prelude: str = "auto",
         recorder=None,
         store=None,
         policy: str = "lru",
@@ -213,7 +206,7 @@ class ExplorationRequest:
         """One-trace exploration at absolute and/or percent budgets.
 
         Pass a :class:`~repro.scenario.ScenarioSpec` via ``scenario``,
-        or spell its fields loose (``engine``/``prelude``/``policy``/
+        or spell its fields loose (``engine``/``policy``/
         ``l2_depth``/``cost_model``/...) — not both, unless they agree.
         """
         all_budgets = tuple(budgets) + ((budget,) if budget is not None else ())
@@ -223,7 +216,6 @@ class ExplorationRequest:
         if scenario is None:
             scenario = ScenarioSpec(
                 engine=engine,
-                prelude=prelude,
                 max_depth=max_depth,
                 include_depth_one=include_depth_one,
                 policy=policy,
@@ -247,7 +239,6 @@ class ExplorationRequest:
             max_depth=max_depth,
             include_depth_one=include_depth_one,
             engine=engine,
-            prelude=prelude,
             recorder=recorder,
             store=store,
             scenario=scenario,
@@ -507,7 +498,6 @@ def _run_single(request: ExplorationRequest) -> ExplorationReport:
         request.traces[0],
         max_depth=spec.max_depth,
         engine=spec.engine,
-        prelude=spec.prelude,
         recorder=request.recorder,
         store=request.store,
     )

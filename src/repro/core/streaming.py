@@ -19,19 +19,18 @@ suffix-sum the buckets.  Total cost is O(sum of global reuse distances
 doubly-linked list with an address → node position map, so relocating a
 reference to the top is O(1) and the only per-reference cost is the
 reuse-distance walk itself.  In pure Python that walk is slower than
-the MRCT path's word-parallel bitmask popcounts (the benchmark
-quantifies it), so this engine's value is its *space*: O(N') live state
-versus conflict sets proportional to the trace length — the variant to
-use when the trace dwarfs memory.
+the MRCT path's word-parallel bitmask popcounts (6.6-125x slower than
+``serial`` in BENCH_postlude.json), so it is not a batch engine: its
+value is its *space* — O(N') live state versus conflict sets
+proportional to the trace length — and its appendability.
 
 All of the per-reference state lives in :class:`StreamingState`, which
 is *appendable* (feed the trace in chunks; histograms are exact after
 every chunk) and *checkpointable* (``repro.store`` persists and
 restores it, see :mod:`repro.stream`).  Produces histograms
 bit-identical to :func:`repro.core.postlude.compute_level_histograms`
-(tested), so the explorer can use either engine.  Registered as the
-``streaming`` engine in :mod:`repro.core.engines` (it is the one engine
-that consumes the raw trace rather than the prelude products).
+(tested); :func:`compute_level_histograms_streaming` is the one-shot
+form the tests use as an independent reference.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 :class:`ScenarioSpec` collapses the machinery knobs that used to travel
 as loose :class:`repro.core.request.ExplorationRequest` kwargs
-(``engine``/``prelude``/``max_depth``/``include_depth_one``) together
+(``engine``/``max_depth``/``include_depth_one``) together
 with the policy-aware dimensions the scenario tier adds (replacement
 ``policy``, a second cache level via ``l2_depth``, a ``cost_model`` for
 ranking) into one validated, hashable dataclass.  The request carries
@@ -32,7 +32,6 @@ class ScenarioSpec:
 
     Attributes:
         engine: histogram engine name (see :mod:`repro.core.engines`).
-        prelude: prelude builder mode (``auto``/``fast``/``python``).
         max_depth: deepest cache depth to report (power of two).
         include_depth_one: also report the fully associative depth-1
             column.
@@ -49,7 +48,6 @@ class ScenarioSpec:
     """
 
     engine: str = _engines.AUTO_ENGINE
-    prelude: str = "auto"
     max_depth: Optional[int] = None
     include_depth_one: bool = False
     policy: str = "lru"
@@ -58,11 +56,6 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         _engines.canonical_name(self.engine)  # fail fast on unknown names
-        if self.prelude not in _engines.PRELUDE_MODES:
-            raise ValueError(
-                f"prelude must be one of {_engines.PRELUDE_MODES}, "
-                f"got {self.prelude!r}"
-            )
         if self.max_depth is not None and not _is_power_of_two(self.max_depth):
             raise ValueError(
                 f"max_depth must be a power of two, got {self.max_depth}"

@@ -72,7 +72,7 @@ def execute_wire_request(
         recorder,
         engine=report.engine,
         requested_engine=request.engine,
-        options={"mode": request.mode, "prelude": request.prelude},
+        options={"mode": request.mode},
         trace={
             "name": trace.name,
             "n": len(trace),

@@ -73,6 +73,11 @@ REQUEST_FIELDS = (
     "scenario",
 )
 
+#: Values a legacy ``prelude`` field may carry.  The field chose among
+#: prelude builders that all produced identical products; it is still
+#: validated so an old client's typo fails loudly, then dropped.
+_LEGACY_PRELUDES = ("auto", "fast", "python")
+
 #: Wire fields of a ``/1.2`` scenario block.
 SCENARIO_FIELDS = ("policy", "l2_depth", "cost_model")
 
@@ -194,7 +199,6 @@ def request_to_wire(request: ExplorationRequest) -> Dict:
         "line_sizes": list(request.line_sizes),
         "weights": list(request.weights) if request.weights is not None else None,
         "engine": request.engine,
-        "prelude": request.prelude,
         "scenario": request.scenario.to_json_dict(),
     }
 
@@ -280,10 +284,17 @@ def request_from_wire(document: object) -> ExplorationRequest:
     if "processes" in document:
         if _int(document["processes"], "request.processes") < 1:
             raise ProtocolError("request: processes must be >= 1")
+    # ``prelude`` likewise: every mode gave identical answers.
+    if "prelude" in document:
+        prelude = _str(document["prelude"], "request.prelude")
+        if prelude not in _LEGACY_PRELUDES:
+            raise ProtocolError(
+                f"request.prelude must be one of {_LEGACY_PRELUDES}, "
+                f"got {prelude!r}"
+            )
     try:
         scenario = ScenarioSpec(
             engine=_str(document.get("engine", "auto"), "request.engine"),
-            prelude=_str(document.get("prelude", "auto"), "request.prelude"),
             max_depth=max_depth,
             include_depth_one=_bool(
                 document.get("include_depth_one", False),
@@ -329,7 +340,6 @@ def request_key(document: object) -> str:
         "line_sizes": list(request.line_sizes),
         "weights": list(request.weights) if request.weights is not None else None,
         "engine": request.engine,
-        "prelude": request.prelude,
         "policy": request.scenario.policy,
         "l2_depth": request.scenario.l2_depth,
         "cost_model": request.scenario.cost_model,

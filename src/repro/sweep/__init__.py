@@ -1,10 +1,10 @@
 """Benchmark farm: declarative sweep orchestration over the matrix.
 
 The paper's evaluation is a 12-kernel PowerStone matrix explored across
-engines, preludes and store warmth; :mod:`repro.sweep` turns that matrix
+engines and store warmth; :mod:`repro.sweep` turns that matrix
 into a first-class, declarative artifact instead of ~30 ad-hoc harness
 scripts.  A YAML :class:`SweepSpec` names the axes (traces x engines x
-preludes x warmth x policies x levels) plus matrix ``include``/
+warmth x policies x levels) plus matrix ``include``/
 ``exclude`` rules; the :mod:`planner <repro.sweep.planner>` expands it
 into a cell DAG (warm cells depend on their cold producer, L2 cells on
 the L1 winner) with plan-time cycle detection and a byte-stable

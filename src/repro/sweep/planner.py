@@ -4,7 +4,7 @@ The planner is pure: spec in, :class:`Plan` out, no I/O and no timing,
 so a plan is reproducible byte for byte (the CI job asserts it).  The
 expansion follows matrix semantics:
 
-1. the cartesian product of the six axes, in declaration order;
+1. the cartesian product of the five axes, in declaration order;
 2. ``include`` rules each add the product of the spec's axes with the
    rule's pinned values substituted (an include that names every axis
    adds exactly one cell);
@@ -31,7 +31,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.sweep.spec import AXIS_NAMES, SweepSpec
 
@@ -47,14 +47,13 @@ class PlanError(ValueError):
 class Cell:
     """One point of the sweep matrix.
 
-    Identity is the six axis coordinates; everything else a cell needs
+    Identity is the five axis coordinates; everything else a cell needs
     to execute (budgets, depth bounds, scale) lives on the plan's spec
     and is shared by every cell.
     """
 
     trace: str
     engine: str
-    prelude: str
     warmth: str
     policy: str
     level: int
@@ -63,8 +62,8 @@ class Cell:
     def cell_id(self) -> str:
         """Stable, human-readable identity: axes joined in canonical order."""
         return (
-            f"{self.trace}/{self.engine}/{self.prelude}/"
-            f"{self.warmth}/{self.policy}/L{self.level}"
+            f"{self.trace}/{self.engine}/{self.warmth}/"
+            f"{self.policy}/L{self.level}"
         )
 
     def coords(self) -> Dict[str, object]:
@@ -188,7 +187,6 @@ def _expand_rule(spec: SweepSpec, rule: Mapping[str, object]) -> List[Cell]:
     axis_values = {
         "trace": spec.traces,
         "engine": spec.engines,
-        "prelude": spec.preludes,
         "warmth": spec.warmth,
         "policy": spec.policies,
         "level": spec.levels,
@@ -208,7 +206,6 @@ def plan_sweep(spec: SweepSpec) -> Plan:
         for combo in itertools.product(
             spec.traces,
             spec.engines,
-            spec.preludes,
             spec.warmth,
             spec.policies,
             spec.levels,
@@ -235,8 +232,7 @@ def plan_sweep(spec: SweepSpec) -> Plan:
         deps: List[str] = []
         if cell.warmth == "warm":
             producer = Cell(
-                cell.trace, cell.engine, cell.prelude, "cold",
-                cell.policy, cell.level,
+                cell.trace, cell.engine, "cold", cell.policy, cell.level
             )
             if producer.cell_id not in by_id:
                 raise PlanError(
@@ -245,10 +241,7 @@ def plan_sweep(spec: SweepSpec) -> Plan:
                 )
             deps.append(producer.cell_id)
         if cell.level == 2:
-            l1 = Cell(
-                cell.trace, cell.engine, cell.prelude, cell.warmth,
-                cell.policy, 1,
-            )
+            l1 = Cell(cell.trace, cell.engine, cell.warmth, cell.policy, 1)
             if l1.cell_id not in by_id:
                 raise PlanError(
                     f"level-2 cell {cell.cell_id!r} has no level-1 winner "

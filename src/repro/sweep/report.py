@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.manifest import environment_info, validate_manifest
 from repro.sweep.planner import Plan
-from repro.sweep.scheduler import CELL_STATUSES, CellRecord, SweepRun
+from repro.sweep.scheduler import CELL_STATUSES, SweepRun
 
 #: Report document schema identifier.
 SWEEP_REPORT_SCHEMA = "repro-sweep-report/1"
@@ -43,9 +43,8 @@ def _baseline_wall(schema: str, row: Dict, record_dict: Dict) -> Optional[float]
 
     Row-shaped bench schemas are matched on the cell's resolved trace
     name plus the schema's own notion of configuration: engine for the
-    postlude bench, prelude pipeline for the prelude bench,
-    and store warmth for the store bench.  Returns ``None`` when the
-    row does not describe this cell.
+    postlude bench and store warmth for the store bench.  Returns
+    ``None`` when the row does not describe this cell.
     """
     coords = record_dict["coords"]
     trace_name = record_dict.get("trace_name")
@@ -57,12 +56,6 @@ def _baseline_wall(schema: str, row: Dict, record_dict: Dict) -> Optional[float]
         if coords.get("warmth") != "cold":
             return None
         return float(row["wall_s"])
-    if schema == "repro-bench-prelude/1":
-        if row.get("pipeline") != coords.get("prelude"):
-            return None
-        if coords.get("warmth") != "cold":
-            return None
-        return float(row["total_s"])
     if schema == "repro-bench-store/1":
         if row.get("engine") != record_dict.get("engine"):
             return None
@@ -79,7 +72,8 @@ def diff_against_baselines(
     """Compare ok cells against committed bench documents.
 
     Args:
-        cells: cell record dicts (:meth:`CellRecord.to_json_dict`).
+        cells: cell record dicts
+            (:meth:`repro.sweep.scheduler.CellRecord.to_json_dict`).
         baselines: ``filename -> validated bench document``.
         tolerance: allowed relative slowdown before a match is flagged
             (0.5 = a cell may run 50% slower than its baseline row).

@@ -132,7 +132,6 @@ def run_cell(coords: Dict[str, object], context: Dict[str, object]) -> Dict:
         store = ArtifactStore(str(store_root))
     scenario = ScenarioSpec(
         engine=str(coords["engine"]),
-        prelude=str(coords["prelude"]),
         policy=str(coords["policy"]),
         max_depth=context.get("max_depth"),
         l2_depth=context.get("l2_depth") if int(coords["level"]) == 2 else None,
@@ -153,7 +152,6 @@ def run_cell(coords: Dict[str, object], context: Dict[str, object]) -> Dict:
         engine=report.engine,
         requested_engine=scenario.engine,
         options={
-            "prelude": scenario.prelude,
             "policy": scenario.policy,
             "warmth": str(coords["warmth"]),
             "level": int(coords["level"]),
@@ -261,7 +259,6 @@ def _timeout_manifest(
         "engine": str(coords["engine"]),
         "requested_engine": str(coords["engine"]),
         "options": {
-            "prelude": str(coords["prelude"]),
             "policy": str(coords["policy"]),
             "warmth": str(coords["warmth"]),
             "level": int(coords["level"]),

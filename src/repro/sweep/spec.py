@@ -1,7 +1,7 @@
 """The declarative sweep spec: one YAML document describing a matrix.
 
-A sweep spec names *what* to run (the axes: traces x engines x preludes
-x store warmth x replacement policies x hierarchy levels), *at which
+A sweep spec names *what* to run (the axes: traces x engines x store
+warmth x replacement policies x hierarchy levels), *at which
 budgets*, and *how* (worker concurrency, per-cell timeout, retry count,
 baseline files and the regression tolerance).  Parsing is strict in the
 same way the serve wire protocol is: unknown fields anywhere in the
@@ -18,7 +18,6 @@ Document layout (schema ``repro-sweep-spec/1``)::
     axes:
       traces: [crc, fir]       # workload kernels or synthetic forms
       engines: [serial, vectorized]
-      preludes: [fast]         # auto | fast | python
       warmth: [cold, warm]     # warm cells depend on their cold producer
       policies: [lru]          # any repro.core.engines.policy_names()
       levels: [1]              # 1 = single level, 2 = L1+L2 (l2_depth)
@@ -27,9 +26,9 @@ Document layout (schema ``repro-sweep-spec/1``)::
     max_depth: 64              # optional depth bound (power of two)
     l2_depth: 32               # depth bound for level-2 cells
     include:                   # extra cells outside the product
-      - {trace: crc, engine: serial, prelude: python, warmth: cold}
+      - {trace: crc, engine: serial, warmth: cold}
     exclude:                   # drop product cells by subset match
-      - {engine: streaming, trace: fir}
+      - {engine: vectorized, trace: fir}
     execution:
       workers: 2
       timeout_s: 120.0
@@ -68,7 +67,7 @@ LEVELS = (1, 2)
 
 #: The axis names an include/exclude rule may constrain, in canonical
 #: (cell-id) order.
-AXIS_NAMES = ("trace", "engine", "prelude", "warmth", "policy", "level")
+AXIS_NAMES = ("trace", "engine", "warmth", "policy", "level")
 
 #: Top-level fields of a spec document.
 _TOP_FIELDS = (
@@ -87,7 +86,7 @@ _TOP_FIELDS = (
     "report",
 )
 
-_AXES_FIELDS = ("traces", "engines", "preludes", "warmth", "policies", "levels")
+_AXES_FIELDS = ("traces", "engines", "warmth", "policies", "levels")
 _EXECUTION_FIELDS = ("workers", "timeout_s", "retries", "backoff_s")
 _REPORT_FIELDS = ("tolerance", "baselines")
 
@@ -246,7 +245,6 @@ class SweepSpec:
     name: str
     traces: Tuple[str, ...]
     engines: Tuple[str, ...]
-    preludes: Tuple[str, ...] = ("auto",)
     warmth: Tuple[str, ...] = ("cold",)
     policies: Tuple[str, ...] = ("lru",)
     levels: Tuple[int, ...] = (1,)
@@ -281,12 +279,6 @@ class SweepSpec:
             parse_trace_entry(entry, self.seed)
         for engine in self.engines:
             _engines.canonical_name(engine)  # raises on unknown names
-        for prelude in self.preludes:
-            if prelude not in _engines.PRELUDE_MODES:
-                raise SweepSpecError(
-                    f"axes.preludes: {prelude!r} not in "
-                    f"{_engines.PRELUDE_MODES}"
-                )
         for warmth in self.warmth:
             if warmth not in WARMTH:
                 raise SweepSpecError(
@@ -351,7 +343,6 @@ class SweepSpec:
             "axes": {
                 "traces": list(self.traces),
                 "engines": list(self.engines),
-                "preludes": list(self.preludes),
                 "warmth": list(self.warmth),
                 "policies": list(self.policies),
                 "levels": list(self.levels),
@@ -391,7 +382,6 @@ class SweepSpec:
 _AXIS_FIELD_MAP = {
     "traces": "traces",
     "engines": "engines",
-    "preludes": "preludes",
     "warmth": "warmth",
     "policies": "policies",
     "levels": "levels",

@@ -2,8 +2,9 @@
 
 The standing correctness tooling for the analytical pipeline: a seeded
 adversarial trace corpus (:mod:`repro.verify.generators`), an oracle
-grid running every engine x prelude mode x store warmth bit-identically
-against each other and exactly against the cache simulator
+grid running every engine x store warmth bit-identically against a
+paper-faithful reference run, itself checked exactly against the cache
+simulator
 (:mod:`repro.verify.oracle`), simulator-free metamorphic invariants
 (:mod:`repro.verify.invariants`), delta-debugging trace shrinking
 (:mod:`repro.verify.shrink`) and a persisted failure corpus replayed
@@ -40,6 +41,7 @@ from repro.verify.oracle import (
     GridOutcome,
     grid_cells,
     policy_divergences,
+    reference_explorer,
     run_grid,
     stream_divergences,
 )
@@ -77,6 +79,7 @@ __all__ = [
     "load_corpus",
     "paper_trace",
     "policy_divergences",
+    "reference_explorer",
     "regression_entries",
     "run_grid",
     "stream_divergences",

@@ -10,7 +10,7 @@ seed, so a corpus index in a failure report replays exactly.
 
 Entries stay deliberately small (a few hundred references, narrow
 address widths): the oracle runs every entry through the full
-engine x prelude x store-warmth grid plus a cache simulation per emitted
+engine x store-warmth grid plus a cache simulation per emitted
 instance, and small traces keep whole-grid coverage inside a tight time
 budget while still exercising every structural edge the kernels have
 (single reference, all-unique, ``N' == 1``, power-of-two stride aliasing,

@@ -39,13 +39,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.instance import ExplorationResult
 from repro.trace.trace import Trace
+from repro.verify.oracle import reference_explorer
 
 #: Factory building the analyzer a law re-runs on a transformed trace.
 ExplorerFactory = Callable[[Trace], AnalyticalCacheExplorer]
-
-
-def _default_factory(trace: Trace) -> AnalyticalCacheExplorer:
-    return AnalyticalCacheExplorer(trace, engine="serial", prelude="python")
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ def _probe_misses(
 def law_stutter(
     trace: Trace,
     budgets: Sequence[int],
-    factory: ExplorerFactory = _default_factory,
+    factory: ExplorerFactory = reference_explorer,
 ) -> List[Violation]:
     """Doubling every reference leaves every exploration unchanged."""
     doubled_addrs: List[int] = []
@@ -220,7 +217,7 @@ def law_stutter(
 def law_relabel_xor(
     trace: Trace,
     budgets: Sequence[int],
-    factory: ExplorerFactory = _default_factory,
+    factory: ExplorerFactory = reference_explorer,
     constant: Optional[int] = None,
 ) -> List[Violation]:
     """XOR-relabeling every address preserves the whole miss grid."""
@@ -255,7 +252,7 @@ def law_relabel_xor(
 def law_concat(
     trace: Trace,
     budgets: Sequence[int],
-    factory: ExplorerFactory = _default_factory,
+    factory: ExplorerFactory = reference_explorer,
 ) -> List[Violation]:
     """``t ++ t`` never loses misses at any probed ``(D, A)``."""
     doubled = trace.concat(trace, name=f"{trace.name}+concat")
@@ -280,7 +277,7 @@ def law_concat(
 def law_rotate(
     trace: Trace,
     budgets: Sequence[int],
-    factory: ExplorerFactory = _default_factory,
+    factory: ExplorerFactory = reference_explorer,
     k: Optional[int] = None,
 ) -> List[Violation]:
     """Rotating k references changes any miss count by at most 2k."""
@@ -326,7 +323,7 @@ def check_laws(
     trace: Trace,
     budgets: Sequence[int],
     laws: Optional[Sequence[str]] = None,
-    factory: ExplorerFactory = _default_factory,
+    factory: ExplorerFactory = reference_explorer,
 ) -> List[Violation]:
     """Run the named metamorphic laws (default: all) on one trace."""
     wanted = set(laws) if laws is not None else {n for n, _ in METAMORPHIC_LAWS}

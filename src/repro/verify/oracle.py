@@ -1,11 +1,12 @@
-"""The differential oracle grid: every engine x prelude x store warmth.
+"""The differential oracle grid: every engine x store warmth.
 
 One corpus trace is run through every cell of the grid — each registered
-histogram engine, under each prelude builder mode, both cold (no
-artifact store) and warm (against a pre-populated store, so the codec
-round-trip and the histogram short-circuit are on the tested path).  All
-cells must produce *bit-identical* exploration results; the reference
-cell (``serial`` engine, ``python`` prelude, cold) is additionally
+histogram engine, both cold (no artifact store) and warm (against a
+pre-populated store, so the codec round-trip and the histogram
+short-circuit are on the tested path).  All cells must produce
+*bit-identical* exploration results to the reference run: the ``serial``
+engine over the paper-faithful prelude builders
+(:func:`reference_explorer`), cold.  The reference is additionally
 checked against the cache simulator: every emitted ``(D, A)`` instance
 must achieve exactly its predicted non-cold miss count, stay within the
 budget, and be minimal (one associativity step below must exceed the
@@ -25,11 +26,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core import engines as _engines
 from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.instance import ExplorationResult
+from repro.core.mrct import build_mrct
 from repro.core.validation import check_minimality, validate_instances
+from repro.core.zerosets import build_zero_one_sets
+from repro.trace.strip import strip_trace
 from repro.trace.trace import Trace
-
-#: Every other cell is compared bit-for-bit against this one.
-REFERENCE_CELL: "GridCell"
 
 #: Tamper hook signature: receives the cell and the result it produced,
 #: returns the (possibly corrupted) result to feed the comparison.
@@ -38,49 +39,63 @@ Tamper = Callable[["GridCell", ExplorationResult], ExplorationResult]
 
 @dataclass(frozen=True)
 class GridCell:
-    """One oracle configuration: engine x prelude mode x store warmth."""
+    """One oracle configuration: engine x store warmth."""
 
     engine: str
-    prelude: str
     warmth: str  # "cold" | "warm"
 
     def label(self) -> str:
-        return f"{self.engine}/{self.prelude}/{self.warmth}"
+        return f"{self.engine}/{self.warmth}"
 
 
-REFERENCE_CELL = GridCell("serial", "python", "cold")
+#: The reference run, which every cell is compared bit-for-bit against:
+#: a pseudo-cell whose explorer is :func:`reference_explorer`.
+REFERENCE_CELL = GridCell("reference", "cold")
+
+
+def reference_explorer(trace: Trace, store=None) -> AnalyticalCacheExplorer:
+    """The oracle's reference: ``serial`` over the paper-faithful builders.
+
+    The stripped trace, zero/one sets and MRCT come from
+    :func:`~repro.trace.strip.strip_trace`,
+    :func:`~repro.core.zerosets.build_zero_one_sets` and
+    :func:`~repro.core.mrct.build_mrct` and are injected into the
+    explorer's engine inputs, so the reference path runs none of the
+    size-selected fast builders that every other path runs.  With a
+    ``store``, the reference's histograms are persisted there (its
+    injected prelude products are not).
+    """
+    explorer = AnalyticalCacheExplorer(trace, engine="serial", store=store)
+    stripped = strip_trace(trace)
+    explorer._inputs = _engines.EngineInputs(
+        trace,
+        stripped=stripped,
+        zerosets=build_zero_one_sets(stripped),
+        mrct=build_mrct(stripped),
+        store=store,
+    )
+    return explorer
 
 
 def grid_cells(
     engines: Optional[Sequence[str]] = None,
-    preludes: Optional[Sequence[str]] = None,
     include_warm: bool = True,
 ) -> Tuple[GridCell, ...]:
-    """Enumerate the oracle grid, reference cell first.
+    """Enumerate the oracle grid, reference first.
 
-    Defaults to every registered engine and every prelude mode; the
-    reference cell is always present even when a subset is requested,
-    because every comparison is against it.
+    Defaults to every registered engine; the reference is always present
+    even when a subset is requested, because every comparison is
+    against it.
     """
     engine_list = tuple(
         _engines.canonical_name(e)
         for e in (engines or _engines.engine_names(include_auto=False))
     )
-    prelude_list = tuple(preludes or _engines.PRELUDE_MODES)
-    for prelude in prelude_list:
-        if prelude not in _engines.PRELUDE_MODES:
-            raise ValueError(
-                f"unknown prelude mode {prelude!r}; "
-                f"expected one of {_engines.PRELUDE_MODES}"
-            )
     warmths = ("cold", "warm") if include_warm else ("cold",)
     cells: List[GridCell] = [REFERENCE_CELL]
     for warmth in warmths:
         for engine in engine_list:
-            for prelude in prelude_list:
-                cell = GridCell(engine, prelude, warmth)
-                if cell != REFERENCE_CELL:
-                    cells.append(cell)
+            cells.append(GridCell(engine, warmth))
     return tuple(cells)
 
 
@@ -154,12 +169,10 @@ def _run_cell(
     store,
     tamper: Optional[Tamper],
 ) -> List[ExplorationResult]:
-    explorer = AnalyticalCacheExplorer(
-        trace,
-        engine=cell.engine,
-        prelude=cell.prelude,
-        store=store,
-    )
+    if cell == REFERENCE_CELL:
+        explorer = reference_explorer(trace, store=store)
+    else:
+        explorer = AnalyticalCacheExplorer(trace, engine=cell.engine, store=store)
     results = []
     for budget in budgets:
         result = explorer.explore(budget)
@@ -422,9 +435,8 @@ def run_grid(
     Args:
         trace: the trace under test.
         budgets: absolute miss budgets to explore in every cell.
-        cells: grid cells (default: the full grid); the reference cell
-            is run first and must be present (``grid_cells`` guarantees
-            it).
+        cells: grid cells (default: the full grid); the reference is
+            always run first, whether listed or not.
         tamper: optional fault-injection hook (tests only).
         simulate: also cross-check the reference results against the
             cache simulator (exactness + budget + minimality).

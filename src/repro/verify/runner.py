@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.explorer import AnalyticalCacheExplorer
 from repro.obs.recorder import NULL_RECORDER
 from repro.trace.trace import Trace
 from repro.verify.corpus import (
@@ -51,6 +50,7 @@ from repro.verify.oracle import (
     Tamper,
     grid_cells,
     policy_divergences,
+    reference_explorer,
     run_grid,
     stream_divergences,
 )
@@ -72,7 +72,6 @@ class VerifyConfig:
         max_traces: stop after this many traces (replay included).
         time_budget_s: wall-clock cap in seconds.
         engines: engine subset (default: all registered).
-        preludes: prelude-mode subset (default: all).
         include_warm: run the warm-store half of the grid.
         laws: ``"rotate"`` (one metamorphic law per trace, round-robin),
             ``"all"`` (every law on every trace) or ``"none"``.
@@ -89,7 +88,6 @@ class VerifyConfig:
     max_traces: Optional[int] = None
     time_budget_s: Optional[float] = None
     engines: Optional[Tuple[str, ...]] = None
-    preludes: Optional[Tuple[str, ...]] = None
     include_warm: bool = True
     laws: str = "rotate"
     policies: Tuple[str, ...] = ()
@@ -187,8 +185,8 @@ class VerifyReport:
 
 
 def _parse_cell(label: str) -> GridCell:
-    engine, prelude, warmth = label.split("/")
-    return GridCell(engine, prelude, warmth)
+    engine, warmth = label.split("/")
+    return GridCell(engine, warmth)
 
 
 def _make_recheck(
@@ -255,9 +253,7 @@ def _make_recheck(
         if law in ("within-budget", "depth-monotone", "budget-monotone"):
 
             def recheck(trace: Trace) -> bool:
-                explorer = AnalyticalCacheExplorer(
-                    trace, engine="serial", prelude="python"
-                )
+                explorer = reference_explorer(trace)
                 results = [explorer.explore(k) for k in budgets]
                 return any(
                     v.law == law for v in structural_violations(results)
@@ -296,7 +292,6 @@ def run_verify(
     )
     cells = grid_cells(
         engines=config.engines,
-        preludes=config.preludes,
         include_warm=config.include_warm,
     )
     report = VerifyReport(

@@ -1,7 +1,5 @@
 """Unit tests for memory-traffic analysis."""
 
-import pytest
-
 from repro.analysis.traffic import compare_write_policies, estimate_traffic
 from repro.cache.config import CacheConfig, WritePolicy
 from repro.trace.reference import AccessKind

@@ -89,13 +89,6 @@ class TestEnginesRaiseUniformly:
                 inputs.zerosets, inputs.mrct, max_level=level
             )
 
-    @pytest.mark.parametrize("prelude", engines.PRELUDE_MODES)
-    @pytest.mark.parametrize("level", NEGATIVES)
-    def test_every_prelude_mode(self, prelude, level) -> None:
-        inputs = engines.EngineInputs(TRACE, prelude=prelude)
-        with pytest.raises(ValueError, match="max_level must be >= 0"):
-            engines.compute_histograms("serial", inputs, max_level=level)
-
     @pytest.mark.parametrize("level", NEGATIVES)
     def test_session_layer(self, level) -> None:
         with pytest.raises(ValueError, match="max_level must be >= 0"):

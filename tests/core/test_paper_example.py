@@ -87,42 +87,24 @@ class TestFigure3BCAT:
         assert build_bcat(zerosets).depth == 4
 
 
-#: Every registered engine x every prelude mode: the paper's worked
-#: example must come out identical from all of them (it is also the
-#: first corpus entry of the verification oracle grid — see
-#: tests/verify/test_generators.py).
-ENGINE_GRID = [
-    (engine, prelude)
-    for engine in _engines.engine_names()
-    for prelude in _engines.PRELUDE_MODES
-]
-
-
-@pytest.fixture(
-    params=ENGINE_GRID, ids=[f"{e}-{p}" for e, p in ENGINE_GRID]
-)
-def engine_prelude(request):
+#: Every registered engine: the paper's worked example must come out
+#: identical from all of them (it is also the first corpus entry of the
+#: verification oracle grid — see tests/verify/test_generators.py).
+@pytest.fixture(params=_engines.engine_names())
+def engine(request):
     return request.param
 
 
 class TestSection23Postlude:
     def test_depth_two_needs_three_ways_for_zero_misses(
-        self, paper_trace, engine_prelude
+        self, paper_trace, engine
     ):
         # "A = max(|{2,3,5}|, |{1,4}|) = 3" for an ideal depth-2 cache.
-        engine, prelude = engine_prelude
-        explorer = AnalyticalCacheExplorer(
-            paper_trace, engine=engine, prelude=prelude
-        )
+        explorer = AnalyticalCacheExplorer(paper_trace, engine=engine)
         assert explorer.explore(0).as_dict()[2] == 3
 
-    def test_zero_miss_associativities_per_depth(
-        self, paper_trace, engine_prelude
-    ):
-        engine, prelude = engine_prelude
-        explorer = AnalyticalCacheExplorer(
-            paper_trace, engine=engine, prelude=prelude
-        )
+    def test_zero_miss_associativities_per_depth(self, paper_trace, engine):
+        explorer = AnalyticalCacheExplorer(paper_trace, engine=engine)
         assert explorer.explore(0).as_dict() == {2: 3, 4: 2, 8: 2, 16: 1}
 
     def test_worked_miss_count_example(self, zerosets, mrct):
@@ -141,14 +123,13 @@ class TestSection23Postlude:
         assert misses_at_node(members, mrct, associativity=2) == 0
 
     def test_algorithm3_matches_streaming_explorer(
-        self, paper_trace, zerosets, mrct, engine_prelude
+        self, paper_trace, zerosets, mrct, engine
     ):
-        engine, prelude = engine_prelude
         bcat = build_bcat(zerosets)
         for budget in (0, 1, 2, 3, 5):
             literal = optimal_pairs_algorithm3(bcat, mrct, budget)
             streaming = AnalyticalCacheExplorer(
-                paper_trace, engine=engine, prelude=prelude
+                paper_trace, engine=engine
             ).explore(budget)
             literal_map = {i.depth: i.associativity for i in literal}
             for inst in streaming:

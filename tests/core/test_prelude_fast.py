@@ -225,15 +225,6 @@ class TestFusedEngine:
         assert inputs.mrct_if_built is None
 
     @needs_numpy
-    def test_python_prelude_mode_stays_bigint(self):
-        inputs = engines.EngineInputs(
-            zipf_trace(400, 60, seed=7), prelude="python"
-        )
-        engines.compute_histograms("vectorized", inputs)
-        assert inputs.packed_mrct_if_built is None
-        assert inputs.mrct_if_built is not None
-
-    @needs_numpy
     def test_prebuilt_mrct_short_circuits_fusion(self):
         """Injected bigint MRCTs are consumed as-is (benchmark contract)."""
         trace = zipf_trace(400, 60, seed=7)
@@ -245,23 +236,20 @@ class TestFusedEngine:
         assert engines.compute_histograms("vectorized", inputs) == reference
         assert inputs.packed_mrct_if_built is None
 
-    @pytest.mark.parametrize("mode", engines.PRELUDE_MODES)
-    def test_all_prelude_modes_agree(self, mode):
-        trace = zipf_trace(300, 50, seed=8)
-        reference = engines.compute_histograms(
-            "serial", engines.EngineInputs(trace, prelude="python")
-        )
-        inputs = engines.EngineInputs(trace, prelude=mode)
-        assert engines.compute_histograms("serial", inputs) == reference
-        if numpy_available():
-            inputs = engines.EngineInputs(trace, prelude=mode)
-            assert (
-                engines.compute_histograms("vectorized", inputs) == reference
-            )
+    @pytest.mark.parametrize(
+        "n, unique", [(300, 50), (9000, 300)], ids=["short", "long"]
+    )
+    def test_built_inputs_agree_with_reference_products(self, n, unique):
+        """Size-selected builders, either side of their thresholds (the
+        long trace takes the NumPy builders, or Fenwick without NumPy),
+        against the injected paper-faithful products."""
+        from repro.verify import reference_explorer
 
-    def test_unknown_prelude_mode_rejected(self):
-        with pytest.raises(ValueError, match="prelude"):
-            engines.EngineInputs(loop_nest_trace(4, 2), prelude="turbo")
+        trace = zipf_trace(n, unique, seed=8)
+        reference = reference_explorer(trace).histograms
+        for engine in engines.engine_names(include_auto=False):
+            inputs = engines.EngineInputs(trace)
+            assert engines.compute_histograms(engine, inputs) == reference
 
 
 class TestPackedStoreWarmStart:

@@ -109,8 +109,8 @@ class TestExploreEngineBugfix:
     def test_engine_choice_is_honored(self):
         trace = zipf_trace(400, 40, seed=3)
         recorder = Recorder()
-        explore(trace, 0, engine="streaming", recorder=recorder)
-        assert recorder.find("engine:streaming") is not None
+        explore(trace, 0, engine="vectorized", recorder=recorder)
+        assert recorder.find("engine:vectorized") is not None
 
     def test_alias_and_all_engines_agree(self, parity_traces):
         trace = parity_traces[0]
@@ -259,21 +259,17 @@ class TestScenario:
             traces=(_paper_trace(),),
             budgets=(0,),
             engine="serial",
-            prelude="python",
             max_depth=8,
         )
         spec_first = ExplorationRequest(
             traces=(_paper_trace(),),
             budgets=(0,),
-            scenario=ScenarioSpec(
-                engine="serial", prelude="python", max_depth=8
-            ),
+            scenario=ScenarioSpec(engine="serial", max_depth=8),
         )
         assert loose.scenario == spec_first.scenario
         # The spec is copied back onto the loose fields, so old attribute
         # reads keep working.
         assert spec_first.engine == "serial"
-        assert spec_first.prelude == "python"
         assert spec_first.max_depth == 8
 
     def test_loose_and_scenario_reports_are_byte_identical(self):

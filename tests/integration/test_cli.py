@@ -102,11 +102,11 @@ class TestProfileTelemetry:
     def test_profile_writes_manifest_file(self, tmp_path, trace_file, capsys):
         manifest_file = tmp_path / "profile.json"
         assert main(
-            ["profile", trace_file, "--engine", "streaming",
+            ["profile", trace_file, "--engine", "vectorized",
              "-o", str(manifest_file)]
         ) == 0
         document = self._load_valid_manifest(manifest_file)
-        assert document["engine"] == "streaming"
+        assert document["engine"] == "vectorized"
         assert document["options"] == {}
         assert "wrote run manifest" in capsys.readouterr().err
 
@@ -413,6 +413,21 @@ class TestCache:
         assert ", ".join(engines.engine_names()) in out
         assert "bitmask -> serial" in out
 
+    def test_engines_prints_the_auto_rule(self, capsys):
+        from repro.core import engines
+
+        assert main(["engines"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "streaming" not in out
+        # choose_auto sizes by the raw trace's length when it has one,
+        # and by N' only when given prelude products alone.
+        assert (
+            f"the trace has >= {engines.AUTO_MIN_REFS} references "
+            f"(>= {engines.AUTO_MIN_REFS_POSTLUDE} when the MRCT is already "
+            f"built), or, given only prelude products and no raw trace, "
+            f">= {engines.AUTO_MIN_UNIQUE} unique addresses; else 'serial'"
+        ) in out
+
 
 class TestParser:
     def test_missing_subcommand_errors(self):
@@ -423,7 +438,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["explore", trace_file])
 
-    @pytest.mark.parametrize("engine", ["parallel", "parallel-shm"])
+    @pytest.mark.parametrize("engine", ["parallel", "parallel-shm", "streaming"])
     def test_removed_engine_names_are_argparse_errors(
         self, engine, trace_file, capsys
     ):
@@ -431,6 +446,25 @@ class TestParser:
             main(["explore", trace_file, "--budget", "5", "--engine", engine])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore", "T", "--budget", "5", "--prelude", "python"],
+            ["profile", "T", "--prelude", "fast"],
+            ["submit", "T", "--budget", "5", "--prelude", "auto"],
+            ["verify", "--preludes", "python"],
+        ],
+        ids=["explore", "profile", "submit", "verify"],
+    )
+    def test_removed_prelude_flags_are_argparse_errors(
+        self, argv, trace_file, capsys
+    ):
+        argv = [trace_file if arg == "T" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prelude" in capsys.readouterr().err
 
 
 class TestScenarioFlags:

@@ -1,8 +1,8 @@
 """Property-based ``max_level`` agreement (hypothesis).
 
-Every engine x prelude combination must produce identical histograms
-under any legal level bound — including the edge bounds the validation
-sweep exists for: ``max_level=0`` (only the full-address level),
+Every engine, and the paper-faithful reference products, must produce
+identical histograms under any legal level bound — including the edge
+bounds the validation sweep exists for: ``max_level=0`` (only the full-address level),
 bounds larger than the address width (clamped, not an error), and
 empty traces.  Appendable sessions must agree too, under any chunking.
 """
@@ -12,7 +12,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import engines
+from repro.core.mrct import build_mrct
+from repro.core.zerosets import build_zero_one_sets
 from repro.stream import TraceSession
+from repro.trace.strip import strip_trace
 from repro.trace.trace import Trace
 
 ENGINES = engines.engine_names(include_auto=False)
@@ -41,8 +44,8 @@ def bounded_cases(draw, max_length=80, max_bits=6):
     return Trace(sequence, address_bits=bits), max_level
 
 
-def _histograms(trace, name, max_level, prelude="auto"):
-    inputs = engines.EngineInputs(trace, prelude=prelude)
+def _histograms(trace, name, max_level):
+    inputs = engines.EngineInputs(trace)
     return engines.compute_histograms(name, inputs, max_level=max_level)
 
 
@@ -61,13 +64,20 @@ def test_engines_agree_under_any_legal_bound(case):
 @given(case=bounded_cases(max_length=40, max_bits=5))
 @settings(max_examples=30, deadline=None)
 def test_preludes_agree_under_any_legal_bound(case):
+    """Built prelude products == the paper-faithful builders' products."""
     trace, max_level = case
-    reference = _histograms(trace, "serial", max_level, prelude="python")
-    for prelude in engines.PRELUDE_MODES:
-        assert (
-            _histograms(trace, "serial", max_level, prelude=prelude)
-            == reference
-        ), prelude
+    stripped = strip_trace(trace)
+    reference_inputs = engines.EngineInputs(
+        trace,
+        stripped=stripped,
+        zerosets=build_zero_one_sets(stripped),
+        mrct=build_mrct(stripped),
+    )
+    reference = engines.compute_histograms(
+        "serial", reference_inputs, max_level=max_level
+    )
+    for name in ENGINES:
+        assert _histograms(trace, name, max_level) == reference, name
 
 
 @given(

@@ -21,7 +21,6 @@ from repro.sweep.spec import (
 
 WORKLOADS = ("crc", "fir", "adpcm", "bcnt", "qurt")
 ENGINES = engines.engine_names()
-PRELUDES = ("auto", "fast", "python")
 POLICIES = ("lru", "fifo")
 WARMTH = ("cold", "warm")
 SCALES = ("tiny", "small", "default", "large")
@@ -67,7 +66,6 @@ def spec_documents(draw):
                 st.lists(trace_entries(), min_size=1, max_size=4, unique=True)
             ),
             "engines": draw(axis_subset(ENGINES)),
-            "preludes": draw(axis_subset(PRELUDES)),
             "warmth": draw(axis_subset(WARMTH)),
             "policies": draw(axis_subset(POLICIES)),
             "levels": draw(axis_subset((1, 2))),
@@ -115,7 +113,7 @@ def spec_documents(draw):
     if draw(st.booleans()):
         document["include"] = [
             {"engine": draw(st.sampled_from(ENGINES)),
-             "prelude": draw(st.sampled_from(PRELUDES))}
+             "policy": draw(st.sampled_from(POLICIES))}
         ]
     if draw(st.booleans()):
         document["exclude"] = [{"warmth": draw(st.sampled_from(WARMTH))}]
@@ -148,7 +146,7 @@ def test_unknown_field_injection_rejected(document, section, field):
         "axes": set(document["axes"]),
         "execution": set(document["execution"]),
         "report": set(document["report"]),
-        "rule": {"trace", "engine", "prelude", "warmth", "policy", "level"},
+        "rule": {"trace", "engine", "warmth", "policy", "level"},
     }[section]
     if field in known:
         field = field + "_unknown"

@@ -46,8 +46,6 @@ class TestValidation:
     def test_machinery_knobs_still_validated(self):
         with pytest.raises(ValueError, match="unknown engine"):
             ScenarioSpec(engine="warp")
-        with pytest.raises(ValueError, match="prelude"):
-            ScenarioSpec(prelude="fastest")
         with pytest.raises(ValueError, match="max_depth"):
             ScenarioSpec(max_depth=7)
 

@@ -81,7 +81,6 @@ class TestRequestCodec:
             max_depth=8,
             include_depth_one=True,
             engine="serial",
-            prelude="python",
         )
         rebuilt = request_from_wire(request_to_wire(request))
         assert request_fields(rebuilt) == request_fields(request)
@@ -95,7 +94,6 @@ class TestRequestCodec:
         }
         request = request_from_wire(wire)
         assert request.engine == "auto"
-        assert request.prelude == "auto"
         assert request.include_depth_one is False
 
     def test_unknown_field_rejected(self, tiny_request) -> None:
@@ -245,14 +243,11 @@ class TestRequestKey:
                 traces=(tiny_trace,), mode="single", budgets=(0,), engine="serial"
             ),
             ExplorationRequest(
-                traces=(tiny_trace,), mode="single", budgets=(0,), prelude="python"
-            ),
-            ExplorationRequest(
                 traces=(tiny_trace,), mode="linesize", budgets=(0,)
             ),
         ):
             keys.add(request_key(request_to_wire(variant)))
-        assert len(keys) == 5
+        assert len(keys) == 4
 
     def test_trace_content_changes_key(self, tiny_trace: Trace) -> None:
         mutated = Trace(
@@ -285,6 +280,50 @@ class TestRequestKey:
         }
         assert len(answers) == 1
         assert "processes" not in request_to_wire(request_from_wire(docs[1]))
+
+    @pytest.mark.parametrize(
+        "schema",
+        [REQUEST_SCHEMA, "repro-serve-request/1.1", "repro-serve-request/1"],
+    )
+    def test_legacy_prelude_field_shares_one_key_and_answer(
+        self, tiny_trace: Trace, schema
+    ) -> None:
+        """Every ``prelude`` mode gave one answer: it must not split dedup."""
+        base = {
+            "schema": schema,
+            "mode": "single",
+            "traces": [trace_to_wire(tiny_trace)],
+            "budgets": [0, 1],
+        }
+        docs = [base] + [
+            dict(base, prelude=mode) for mode in ("auto", "fast", "python")
+        ]
+        assert len({request_key(d) for d in docs}) == 1
+        answers = {
+            json.dumps(
+                response_to_wire(explore_request(request_from_wire(d))),
+                sort_keys=True,
+            )
+            for d in docs
+        }
+        assert len(answers) == 1
+        assert "prelude" not in request_to_wire(request_from_wire(docs[-1]))
+
+    @pytest.mark.parametrize("value", ["turbo", 3, None])
+    def test_legacy_prelude_field_still_validated(
+        self, tiny_trace: Trace, value
+    ) -> None:
+        wire = {
+            "schema": REQUEST_SCHEMA,
+            "mode": "single",
+            "traces": [trace_to_wire(tiny_trace)],
+            "budgets": [0],
+            "prelude": value,
+        }
+        with pytest.raises(ProtocolError, match="prelude"):
+            request_from_wire(wire)
+        with pytest.raises(ProtocolError, match="prelude"):
+            request_key(wire)
 
     @pytest.mark.parametrize("value", [0, -3, "2", True])
     def test_legacy_processes_field_still_validated(

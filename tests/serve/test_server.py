@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -11,7 +10,6 @@ import pytest
 from repro.core.request import ExplorationRequest, explore_request
 from repro.serve import ServeError, WorkerPool
 from repro.serve.protocol import (
-    BATCH_REQUEST_SCHEMA,
     RESPONSE_SCHEMA,
     request_to_wire,
 )
@@ -212,7 +210,13 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("engine", "parallel"), ("engine", "parallel-shm"), ("processes", 0)],
+        [
+            ("engine", "parallel"),
+            ("engine", "parallel-shm"),
+            ("engine", "streaming"),
+            ("processes", 0),
+            ("prelude", "turbo"),
+        ],
     )
     def test_removed_engines_and_bad_processes_are_400(
         self, live_server, tiny_request, field, value

@@ -2,8 +2,6 @@
 
 import multiprocessing
 
-import pytest
-
 from repro.core import engines
 from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.mrct import build_mrct

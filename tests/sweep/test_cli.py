@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.obs.manifest import validate_manifest
 from repro.sweep import spec_from_dict, validate_sweep_report
@@ -66,7 +64,7 @@ class TestPlan:
         document = json.loads(first)
         assert document["schema"] == "repro-sweep-plan/1"
         assert [c["id"] for c in document["cells"]] == [
-            "loop:8x2/serial/auto/cold/lru/L1"
+            "loop:8x2/serial/cold/lru/L1"
         ]
 
 

@@ -18,7 +18,7 @@ from repro.sweep.spec import SPEC_SCHEMA
 BUDGETS = (0, 8)
 
 
-def make_plan(traces, engines, preludes=("auto",)):
+def make_plan(traces, engines):
     return plan_sweep(
         spec_from_dict(
             {
@@ -27,7 +27,6 @@ def make_plan(traces, engines, preludes=("auto",)):
                 "axes": {
                     "traces": list(traces),
                     "engines": list(engines),
-                    "preludes": list(preludes),
                 },
                 "budgets": list(BUDGETS),
             }
@@ -35,13 +34,13 @@ def make_plan(traces, engines, preludes=("auto",)):
     )
 
 
-def legacy_report(entry, engine, prelude="auto"):
+def legacy_report(entry, engine):
     """The report the pre-sweep bench path computes for one config."""
     trace = resolve_trace(entry)
     request = ExplorationRequest.single(
         trace,
         budgets=BUDGETS,
-        scenario=ScenarioSpec(engine=engine, prelude=prelude),
+        scenario=ScenarioSpec(engine=engine),
     )
     return explore_request(request).to_json_dict()
 
@@ -68,23 +67,6 @@ def test_trace_names_match_bench_conventions():
         "loop-16x4",
         "zipf-400-64",
     ]
-
-
-def test_prelude_pipelines_agree():
-    """bench_prelude's core assertion, via the sweep path: the python
-
-    and fast preludes feed the engines identical inputs, so exploration
-    results must be identical across the prelude axis."""
-    plan = make_plan(
-        traces=("loop:16x4",),
-        engines=("vectorized",),
-        preludes=("python", "fast"),
-    )
-    run = SweepScheduler(plan, kind="inline").run()
-    reports = [record.report for record in run.records]
-    assert len(reports) == 2
-    assert reports[0] == reports[1]
-    assert reports[0] == legacy_report("loop:16x4", "vectorized", "python")
 
 
 def test_process_backend_matches_inline():

@@ -19,7 +19,7 @@ def make_spec(**overrides):
         "budgets": [0],
     }
     for key, value in overrides.items():
-        if key in ("traces", "engines", "preludes", "warmth", "policies", "levels"):
+        if key in ("traces", "engines", "warmth", "policies", "levels"):
             document["axes"][key] = value
         else:
             document[key] = value
@@ -34,22 +34,22 @@ class TestExpansion:
     def test_cartesian_product(self):
         plan = plan_sweep(make_spec())
         assert len(plan.cells) == 4  # 2 traces x 2 engines
-        assert plan.cells[0].cell_id == "loop:8x2/serial/auto/cold/lru/L1"
+        assert plan.cells[0].cell_id == "loop:8x2/serial/cold/lru/L1"
 
     def test_axis_order_is_declaration_order(self):
         plan = plan_sweep(make_spec())
         assert cell_ids(plan) == [
-            "loop:8x2/serial/auto/cold/lru/L1",
-            "loop:8x2/vectorized/auto/cold/lru/L1",
-            "zipf:100:16:1/serial/auto/cold/lru/L1",
-            "zipf:100:16:1/vectorized/auto/cold/lru/L1",
+            "loop:8x2/serial/cold/lru/L1",
+            "loop:8x2/vectorized/cold/lru/L1",
+            "zipf:100:16:1/serial/cold/lru/L1",
+            "zipf:100:16:1/vectorized/cold/lru/L1",
         ]
 
     def test_include_pins_axes_and_ranges_free_ones(self):
-        # Pinning prelude leaves trace x engine free: adds 4 cells.
-        plan = plan_sweep(make_spec(include=[{"prelude": "python"}]))
-        python_cells = [c for c in plan.cells if c.prelude == "python"]
-        assert len(python_cells) == 4
+        # Pinning policy leaves trace x engine free: adds 4 cells.
+        plan = plan_sweep(make_spec(include=[{"policy": "fifo"}]))
+        fifo_cells = [c for c in plan.cells if c.policy == "fifo"]
+        assert len(fifo_cells) == 4
         assert len(plan.cells) == 8
 
     def test_include_full_pin_adds_one_cell(self):
@@ -59,16 +59,15 @@ class TestExpansion:
                     {
                         "trace": "loop:8x2",
                         "engine": "serial",
-                        "prelude": "python",
                         "warmth": "cold",
-                        "policy": "lru",
+                        "policy": "fifo",
                         "level": 1,
                     }
                 ]
             )
         )
         assert len(plan.cells) == 5
-        assert "loop:8x2/serial/python/cold/lru/L1" in cell_ids(plan)
+        assert "loop:8x2/serial/cold/fifo/L1" in cell_ids(plan)
 
     def test_exclude_subset_match(self):
         plan = plan_sweep(make_spec(exclude=[{"engine": "vectorized"}]))
@@ -79,7 +78,7 @@ class TestExpansion:
         plan = plan_sweep(
             make_spec(exclude=[{"engine": "vectorized", "trace": "loop:8x2"}])
         )
-        assert "loop:8x2/vectorized/auto/cold/lru/L1" not in cell_ids(plan)
+        assert "loop:8x2/vectorized/cold/lru/L1" not in cell_ids(plan)
         assert len(plan.cells) == 3
 
     def test_include_duplicates_are_deduped(self):
@@ -99,31 +98,31 @@ class TestExpansion:
             make_spec(
                 warmth=["cold", "warm"],
                 include=[{"trace": "loop:8x2", "engine": "serial",
-                          "prelude": "fast", "warmth": "cold"}],
+                          "policy": "fifo", "warmth": "cold"}],
                 exclude=[{"trace": "zipf:100:16:1", "warmth": "warm"}],
             )
         )
         assert cell_ids(plan) == [
-            "loop:8x2/serial/auto/cold/lru/L1",
-            "loop:8x2/serial/auto/warm/lru/L1",
-            "loop:8x2/vectorized/auto/cold/lru/L1",
-            "loop:8x2/vectorized/auto/warm/lru/L1",
-            "zipf:100:16:1/serial/auto/cold/lru/L1",
-            "zipf:100:16:1/vectorized/auto/cold/lru/L1",
-            "loop:8x2/serial/fast/cold/lru/L1",
+            "loop:8x2/serial/cold/lru/L1",
+            "loop:8x2/serial/warm/lru/L1",
+            "loop:8x2/vectorized/cold/lru/L1",
+            "loop:8x2/vectorized/warm/lru/L1",
+            "zipf:100:16:1/serial/cold/lru/L1",
+            "zipf:100:16:1/vectorized/cold/lru/L1",
+            "loop:8x2/serial/cold/fifo/L1",
         ]
 
 
 class TestDependencies:
     def test_warm_depends_on_cold(self):
         plan = plan_sweep(make_spec(warmth=["cold", "warm"]))
-        warm = plan.cell("loop:8x2/serial/auto/warm/lru/L1")
-        assert plan.dependencies(warm) == ("loop:8x2/serial/auto/cold/lru/L1",)
+        warm = plan.cell("loop:8x2/serial/warm/lru/L1")
+        assert plan.dependencies(warm) == ("loop:8x2/serial/cold/lru/L1",)
 
     def test_level2_depends_on_level1(self):
         plan = plan_sweep(make_spec(levels=[1, 2]))
-        l2 = plan.cell("loop:8x2/serial/auto/cold/lru/L2")
-        assert plan.dependencies(l2) == ("loop:8x2/serial/auto/cold/lru/L1",)
+        l2 = plan.cell("loop:8x2/serial/cold/lru/L2")
+        assert plan.dependencies(l2) == ("loop:8x2/serial/cold/lru/L1",)
 
     def test_cold_cells_are_independent(self):
         plan = plan_sweep(make_spec())
@@ -160,8 +159,8 @@ class TestCycles:
 
     def _cells(self):
         return (
-            Cell("loop:8x2", "serial", "auto", "cold", "lru", 1),
-            Cell("loop:8x2", "vectorized", "auto", "cold", "lru", 1),
+            Cell("loop:8x2", "serial", "cold", "lru", 1),
+            Cell("loop:8x2", "vectorized", "cold", "lru", 1),
         )
 
     def test_self_cycle(self):
@@ -218,6 +217,6 @@ class TestStability:
         assert document["schema"] == "repro-sweep-plan/1"
         assert document["fingerprint"] == plan.fingerprint()
         by_id = {cell["id"]: cell for cell in document["cells"]}
-        warm = by_id["loop:8x2/serial/auto/warm/lru/L1"]
-        assert warm["depends_on"] == ["loop:8x2/serial/auto/cold/lru/L1"]
+        warm = by_id["loop:8x2/serial/warm/lru/L1"]
+        assert warm["depends_on"] == ["loop:8x2/serial/cold/lru/L1"]
         assert warm["coords"]["warmth"] == "warm"

@@ -1,6 +1,5 @@
 """Report aggregation, baseline diffing, and document validation."""
 
-import copy
 import json
 
 import pytest
@@ -138,7 +137,7 @@ class TestBuildReport:
         report = build_report(plan, run, baseline_dir=str(tmp_path))
         assert len(report["regressions"]) == 1
         entry = report["regressions"][0]
-        assert entry["cell"] == "loop:8x2/serial/auto/cold/lru/L1"
+        assert entry["cell"] == "loop:8x2/serial/cold/lru/L1"
         assert entry["ratio"] == pytest.approx(2.0)
         files = report["baselines"]["files"]["BENCH_fake.json"]
         assert files["matched"] == 2
@@ -173,7 +172,7 @@ class TestBuildReport:
             "comparisons"
         ]
         assert [c["cell"] for c in comparisons] == [
-            "loop:8x2/serial/auto/cold/lru/L1"
+            "loop:8x2/serial/cold/lru/L1"
         ]
 
 
@@ -245,7 +244,7 @@ class TestMarkdown:
         report = build_report(plan, run, baseline_dir=str(tmp_path))
         text = render_markdown(report)
         assert "# Sweep report: report-test" in text
-        assert "loop:8x2/serial/auto/cold/lru/L1" in text
+        assert "loop:8x2/serial/cold/lru/L1" in text
         assert "## Regressions" in text
         assert "2.00x" in text
         assert "BENCH_fake.json" in text

@@ -26,7 +26,7 @@ def make_plan(**overrides):
                       "backoff_s": 0.01},
     }
     for key, value in overrides.items():
-        if key in ("traces", "engines", "preludes", "warmth", "policies", "levels"):
+        if key in ("traces", "engines", "warmth", "policies", "levels"):
             document["axes"][key] = value
         else:
             document[key] = value
@@ -108,7 +108,7 @@ class TestRetries:
             plan, kind="inline", execute=flaky_once_execute
         ).run()
         records = records_by_id(run)
-        flaky = records["zipf:100:16:1/serial/auto/cold/lru/L1"]
+        flaky = records["zipf:100:16:1/serial/cold/lru/L1"]
         assert flaky.status == "ok"
         assert flaky.attempts == 2
         assert run.counters["sweep_retries"] == 1
@@ -120,8 +120,8 @@ class TestRetries:
             plan, kind="inline", execute=fail_zipf_execute, retries=2
         ).run()
         records = records_by_id(run)
-        bad = records["zipf:100:16:1/serial/auto/cold/lru/L1"]
-        good = records["loop:8x2/serial/auto/cold/lru/L1"]
+        bad = records["zipf:100:16:1/serial/cold/lru/L1"]
+        good = records["loop:8x2/serial/cold/lru/L1"]
         assert bad.status == "quarantined"
         assert bad.attempts == 3  # initial + 2 retries
         assert "injected failure" in bad.error
@@ -134,7 +134,7 @@ class TestRetries:
         run = SweepScheduler(
             plan, kind="inline", execute=fail_zipf_execute, retries=0
         ).run()
-        bad = records_by_id(run)["zipf:100:16:1/serial/auto/cold/lru/L1"]
+        bad = records_by_id(run)["zipf:100:16:1/serial/cold/lru/L1"]
         assert bad.status == "quarantined"
         assert bad.attempts == 1
         assert run.counters["sweep_retries"] == 0
@@ -149,19 +149,19 @@ class TestDependencyGating:
             plan, kind="inline", execute=fail_cold_loop_execute, retries=0
         ).run()
         records = records_by_id(run)
-        assert records["loop:8x2/serial/auto/cold/lru/L1"].status == "quarantined"
+        assert records["loop:8x2/serial/cold/lru/L1"].status == "quarantined"
         for skipped_id in (
-            "loop:8x2/serial/auto/warm/lru/L1",
-            "loop:8x2/serial/auto/cold/lru/L2",
-            "loop:8x2/serial/auto/warm/lru/L2",
+            "loop:8x2/serial/warm/lru/L1",
+            "loop:8x2/serial/cold/lru/L2",
+            "loop:8x2/serial/warm/lru/L2",
         ):
             record = records[skipped_id]
             assert record.status == "skipped"
             assert record.attempts == 0
             assert "quarantined" in record.error
         for ok_id in (
-            "zipf:100:16:1/serial/auto/cold/lru/L1",
-            "zipf:100:16:1/serial/auto/warm/lru/L1",
+            "zipf:100:16:1/serial/cold/lru/L1",
+            "zipf:100:16:1/serial/warm/lru/L1",
         ):
             assert records[ok_id].status == "ok"
         assert run.counters["sweep_cells_skipped"] == 3
@@ -193,7 +193,7 @@ class TestTimeouts:
         elapsed = time.monotonic() - start
         assert elapsed < 30, "the hung worker was not killed at its deadline"
         records = records_by_id(run)
-        hung = records["zipf:100:16:1/serial/auto/cold/lru/L1"]
+        hung = records["zipf:100:16:1/serial/cold/lru/L1"]
         assert hung.status == "quarantined"
         assert hung.timeouts == 1
         assert "killed after" in hung.error
@@ -201,7 +201,7 @@ class TestTimeouts:
         validate_manifest(hung.manifest)
         assert hung.manifest["counters"] == {"sweep_timeouts": 1}
         assert hung.manifest["phases"][0]["name"] == "sweep:cell-timeout"
-        assert records["loop:8x2/serial/auto/cold/lru/L1"].status == "ok"
+        assert records["loop:8x2/serial/cold/lru/L1"].status == "ok"
         assert run.counters["sweep_timeouts"] == 1
 
     def test_thread_timeout_abandons_the_attempt(self):
@@ -214,7 +214,7 @@ class TestTimeouts:
             retries=0,
             workers=4,
         ).run()
-        hung = records_by_id(run)["zipf:100:16:1/serial/auto/cold/lru/L1"]
+        hung = records_by_id(run)["zipf:100:16:1/serial/cold/lru/L1"]
         assert hung.status == "quarantined"
         assert "abandoned after" in hung.error
 
@@ -225,6 +225,6 @@ class TestProcessBackend:
         run = SweepScheduler(
             plan, kind="process", execute=fail_zipf_execute, retries=0
         ).run()
-        bad = records_by_id(run)["zipf:100:16:1/serial/auto/cold/lru/L1"]
+        bad = records_by_id(run)["zipf:100:16:1/serial/cold/lru/L1"]
         assert bad.status == "quarantined"
         assert "injected failure" in bad.error

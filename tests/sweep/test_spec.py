@@ -26,7 +26,6 @@ class TestParsing:
         assert spec.name == "t"
         assert spec.traces == ("loop:8x2",)
         assert spec.engines == ("serial",)
-        assert spec.preludes == ("auto",)
         assert spec.warmth == ("cold",)
         assert spec.policies == ("lru",)
         assert spec.levels == (1,)
@@ -58,7 +57,6 @@ class TestParsing:
             "axes": {
                 "traces": ["crc", "zipf:400:64:1"],
                 "engines": ["serial", "vectorized"],
-                "preludes": ["fast", "python"],
                 "warmth": ["cold", "warm"],
                 "policies": ["lru", "fifo"],
                 "levels": [1, 2],
@@ -67,7 +65,7 @@ class TestParsing:
             "percents": [5.0],
             "max_depth": 64,
             "l2_depth": 16,
-            "include": [{"trace": "crc", "engine": "serial", "prelude": "auto"}],
+            "include": [{"trace": "crc", "engine": "serial", "warmth": "cold"}],
             "exclude": [{"engine": "vectorized", "policy": "fifo"}],
             "execution": {
                 "workers": 3,
@@ -130,9 +128,13 @@ class TestAxisValidation:
             spec_from_dict(document)
 
     def test_unknown_prelude(self):
+        """The prelude axis is gone: even its old values are rejected."""
         document = minimal_document()
-        document["axes"]["preludes"] = ["turbo"]
-        with pytest.raises(SweepSpecError, match="preludes"):
+        document["axes"]["preludes"] = ["auto"]
+        with pytest.raises(SweepSpecError, match="spec.axes.*preludes"):
+            spec_from_dict(document)
+        document = minimal_document(include=[{"prelude": "python"}])
+        with pytest.raises(SweepSpecError, match="include\\[0\\].*prelude"):
             spec_from_dict(document)
 
     def test_unknown_policy(self):

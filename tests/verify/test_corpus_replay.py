@@ -47,7 +47,7 @@ class TestPersistence:
             name="roundtrip",
             trace=Trace([1, 2, 1, 2], address_bits=7, name="roundtrip"),
             budgets=(0, 3),
-            cell="vectorized/fast/cold",
+            cell="vectorized/cold",
             detail="example",
             shrunk_from=40,
             seed=9,
@@ -60,7 +60,7 @@ class TestPersistence:
         assert list(got.trace) == [1, 2, 1, 2]
         assert got.trace.address_bits == 7
         assert got.budgets == (0, 3)
-        assert got.cell == "vectorized/fast/cold"
+        assert got.cell == "vectorized/cold"
         assert got.shrunk_from == 40
 
     def test_saving_is_idempotent(self, tmp_path):

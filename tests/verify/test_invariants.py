@@ -14,6 +14,7 @@ from repro.verify.invariants import (
     law_stutter,
     structural_violations,
 )
+from repro.verify.oracle import reference_explorer
 
 
 def _result(budget, pairs, misses):
@@ -84,9 +85,7 @@ class _LyingExplorer:
     """Wraps a real explorer and corrupts its answers on demand."""
 
     def __init__(self, trace, bump_assoc=False, misses_delta=0):
-        self._real = AnalyticalCacheExplorer(
-            trace, engine="serial", prelude="python"
-        )
+        self._real = reference_explorer(trace)
         self._bump_assoc = bump_assoc
         self._misses_delta = misses_delta
 

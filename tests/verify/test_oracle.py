@@ -7,6 +7,7 @@ from repro.verify.oracle import (
     REFERENCE_CELL,
     GridCell,
     grid_cells,
+    reference_explorer,
     result_signature,
     run_grid,
 )
@@ -32,19 +33,23 @@ class TestGridEnumeration:
         cells = grid_cells()
         assert cells[0] == REFERENCE_CELL
         assert len(cells) == len(set(cells))
+        # The reference plus engine x warmth.
+        assert [cell.label() for cell in cells] == [
+            "reference/cold",
+            "serial/cold",
+            "vectorized/cold",
+            "serial/warm",
+            "vectorized/warm",
+        ]
 
     def test_subset_still_contains_the_reference(self):
-        cells = grid_cells(engines=("vectorized",), preludes=("fast",))
+        cells = grid_cells(engines=("vectorized",))
         assert cells[0] == REFERENCE_CELL
-        assert GridCell("vectorized", "fast", "cold") in cells
+        assert GridCell("vectorized", "cold") in cells
 
     def test_cold_only_grid_has_no_warm_cells(self):
         cells = grid_cells(include_warm=False)
         assert all(cell.warmth == "cold" for cell in cells)
-
-    def test_unknown_prelude_is_rejected(self):
-        with pytest.raises(ValueError):
-            grid_cells(preludes=("turbo",))
 
     def test_unknown_engine_is_rejected(self):
         with pytest.raises(ValueError):
@@ -67,9 +72,37 @@ class TestGridAgreement:
         assert (2, 3, 0) in signature[0][1]  # depth 2 needs 3 ways, 0 misses
 
 
+class TestReferenceExplorer:
+    def test_reference_runs_no_size_selected_builder(self, monkeypatch):
+        """Above every fast-builder threshold, the reference still takes
+        only the paper-faithful builders and the serial postlude."""
+        import repro.core.engines as engines
+        import repro.core.prelude_fast as prelude_fast
+        import repro.trace.strip as strip
+        from repro.core.explorer import AnalyticalCacheExplorer
+        from repro.trace.synthetic import zipf_trace
+
+        trace = zipf_trace(6000, 200, seed=4)
+        expected = AnalyticalCacheExplorer(trace).explore(3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fast builder on the reference path")
+
+        for name in ("build_mrct_auto", "build_mrct_fast", "build_packed_mrct"):
+            monkeypatch.setattr(prelude_fast, name, forbidden)
+        monkeypatch.setattr(strip, "strip_trace_auto", forbidden)
+        monkeypatch.setattr(engines, "strip_trace_auto", forbidden)
+        monkeypatch.setattr(strip, "strip_trace_numpy", forbidden)
+        explorer = reference_explorer(trace)
+        assert explorer.resolved_engine == "serial"
+        assert result_signature([explorer.explore(3)]) == result_signature(
+            [expected]
+        )
+
+
 class TestFaultDetection:
     def test_tampered_cell_is_caught_as_grid_divergence(self, paper_trace):
-        target = GridCell("vectorized", "fast", "cold")
+        target = GridCell("vectorized", "warm")
 
         def tamper(cell, result):
             if cell == target:

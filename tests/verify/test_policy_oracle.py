@@ -49,7 +49,6 @@ class TestPolicyOracle:
                 corpus_dir=None,
                 include_warm=False,
                 engines=("serial",),
-                preludes=("python",),
                 laws="none",
             )
         )

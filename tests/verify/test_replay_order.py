@@ -106,7 +106,6 @@ class TestRunnerConsumesNewestFirst:
             seed=0,
             max_traces=2,  # far fewer than the 7 corpus entries
             engines=("serial",),
-            preludes=("python",),
             include_warm=False,
             laws="none",
             corpus_dir=root,

@@ -4,7 +4,6 @@ reproducer persisted to the failure corpus and replayed on later runs.
 """
 
 import json
-import os
 
 import pytest
 
@@ -13,18 +12,14 @@ from repro.core.instance import CacheInstance, ExplorationResult
 from repro.obs import validate_manifest
 from repro.verify import REPORT_SCHEMA, VerifyConfig, run_verify
 from repro.verify.corpus import load_corpus
-from repro.verify.oracle import GridCell
+from repro.verify.oracle import REFERENCE_CELL, GridCell
 
 
-def _bump_tamper(target_engine="vectorized", target_prelude="fast"):
-    """Corrupt one engine/prelude combination's last emitted instance."""
+def _bump_tamper(target=GridCell("vectorized", "warm")):
+    """Corrupt one grid cell's last emitted instance."""
 
     def tamper(cell, result):
-        if (
-            cell.engine == target_engine
-            and cell.prelude == target_prelude
-            and len(result.instances) > 1
-        ):
+        if cell == target and len(result.instances) > 1:
             instances = list(result.instances)
             last = instances[-1]
             instances[-1] = CacheInstance(
@@ -47,7 +42,8 @@ class TestRunner:
         assert report.ok
         assert report.traces == 10
         assert report.stopped_by == "max-traces"
-        assert report.grid[0] == "serial/python/cold"
+        assert report.grid[0] == "reference/cold"
+        assert len(report.grid) == 5  # the reference + engine x warmth
         assert report.cells == 10 * len(report.grid)
         assert report.counters()["verify_traces"] == 10
 
@@ -90,7 +86,7 @@ class TestAcceptanceFaultInjection:
         failure = report.failures[0]
         assert failure.kind == "grid"
         assert failure.cell is not None
-        assert failure.cell.startswith("vectorized/fast")
+        assert failure.cell == "vectorized/warm"
         assert failure.shrunk_len is not None
         assert failure.shrunk_len <= 32
         assert failure.shrunk_len <= failure.trace_len
@@ -141,7 +137,7 @@ class TestAcceptanceFaultInjection:
                 laws="none",
                 fail_fast=True,
             ),
-            tamper=_bump_tamper("serial", "python"),
+            tamper=_bump_tamper(REFERENCE_CELL),
         )
         assert not report.ok
         kinds = {failure.kind for failure in report.failures}
@@ -193,12 +189,11 @@ class TestCli:
     def test_engine_subset_flags(self, capsys):
         rc = main(
             ["verify", "--max-traces", "2", "--no-corpus", "--laws", "none",
-             "--engines", "vectorized", "--preludes", "fast", "--no-warm",
-             "--json"]
+             "--engines", "vectorized", "--no-warm", "--json"]
         )
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert "vectorized/fast/cold" in doc["grid"]
+        assert doc["grid"] == ["reference/cold", "vectorized/cold"]
         assert all(not cell.endswith("/warm") for cell in doc["grid"])
 
     def test_corpus_dir_flag_persists_crashes(self, tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import adpcm, bcnt, blit, compress, crc, des, engine
+from repro.workloads import bcnt, blit, compress, crc, des, engine
 from repro.workloads import fir, g3fax, pocsag, qurt, ucbqsort
 from repro.workloads.common import LCG, WORD_MASK, scaled, words_directive
 
